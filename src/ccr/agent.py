@@ -26,6 +26,11 @@ from .wire import decode_message, encode_message
 
 log = logging.getLogger("ccr.agent")
 
+# Longest line a connection reads.  A Full carries a whole history in one
+# line, so this bounds what a restarted peer can catch up on: about 300k
+# counter ops.  A longer line drops the link.
+FRAME_LIMIT = 16 * 1024 * 1024
+
 Addr = Tuple[str, int]
 
 
@@ -77,7 +82,8 @@ class Agent:
             return 2
         host, port = self.cfg.listen
         try:
-            self._server = await asyncio.start_server(self._accepted, host, port)
+            self._server = await asyncio.start_server(self._accepted, host, port,
+                                                      limit=FRAME_LIMIT)
         except OSError as e:
             print(f"cannot listen on {host}:{port}: {e}", file=sys.stderr)
             return 2
@@ -119,7 +125,7 @@ class Agent:
     # -- transport ------------------------------------------------------------
 
     async def _dial(self, addr: Addr) -> int:
-        reader, writer = await asyncio.open_connection(*addr)
+        reader, writer = await asyncio.open_connection(*addr, limit=FRAME_LIMIT)
         hello = Hello(site=self.state.site, kind=self.rt.name, known_len=0)
         writer.write(encode_message(self.rt, hello))
         await writer.drain()
@@ -197,6 +203,10 @@ class Agent:
             log.warning("dropping site %d: %s", peer, e)
         except ConnectionError:
             pass
+        except Exception:
+            # Anything else, such as the ValueError of a line longer than
+            # FRAME_LIMIT, ends this link only; the site keeps serving.
+            log.exception("dropping site %d", peer)
         link = self.links.pop(peer, None)
         if link is not None:
             link.writer.close()

@@ -127,6 +127,10 @@ def compose(p: Patch, q: Patch) -> Patch:
     Rejects uid overlap between the sides: composing a patch with edits it
     already contains is always a bookkeeping bug.  Duplicates *within* one
     side are legal (fragments of a split deletion share a uid).
+
+    The check hashes every uid on both sides.  ``SiteState`` makes the same
+    check through its own uid index instead, so its appends cost the new
+    ops only.
     """
     if not p:
         return tuple(q)

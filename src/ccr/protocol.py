@@ -24,6 +24,15 @@ the known prefix transforms to identity against our history by construction.
 ``SiteState(verify=True)`` re-runs the full computation on every receipt and
 asserts both routes agree.
 
+The rest of one receipt's bookkeeping is kept from growing with the
+history.  Appending must refuse an op whose uid the history already holds
+(the overlap check of ``core.compose``); a set of every integrated uid turns
+that check into one lookup per new op.  Each cursor's copy of the peer's
+history grows in place.  ``history`` itself stays an immutable tuple, rebuilt
+on each append, because it is shared as a snapshot: ``Full`` carries it, and
+a message in flight may hold it while this site moves on.  That copy is the
+one cost per op still linear in the history.
+
 SiteState is a single-threaded state machine: callers must serialize entry
 points (the agent funnels everything through one event loop, the simulator
 is sequential by construction).
@@ -32,15 +41,15 @@ is sequential by construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .core import (
     CcrError,
+    ComposeError,
     OpId,
     Operation,
     Patch,
     apply_patch,
-    compose,
     is_identity,
     transform_patch,
 )
@@ -90,7 +99,8 @@ Message = Any  # Hello | Increment | ResyncReq | Full
 class PeerCursor:
     sent_len: int = 0
     recv_len: int = 0
-    recv_prefix: Patch = ()
+    # The peer's history as far as integrated; extended in place.
+    recv_prefix: List[Operation] = field(default_factory=list)
     # Cache for incremental integration (see module docstring).
     peer_state: Any = None
     remainder: Patch = ()
@@ -103,6 +113,7 @@ class SiteState:
         self.base = rt.initial()
         self.current = rt.initial()
         self.history: Patch = ()
+        self.uids: Set[OpId] = set()  # uid of every op in history
         self.next_seq = 1
         self.peers: Dict[int, PeerCursor] = {}
         self.faulted: Optional[str] = None
@@ -130,7 +141,7 @@ class SiteState:
         if op is None:
             return []
         self.next_seq += 1
-        self.history = compose(self.history, (op,))
+        self._append((op,))
         self.current = self.rt.apply(self.current, op)
         for cur in self.peers.values():
             cur.remainder = cur.remainder + (op,)
@@ -159,12 +170,12 @@ class SiteState:
             return [(from_site, reply)]
         if isinstance(msg, Full):
             ops = tuple(msg.ops)
-            if ops[: cur.recv_len] == cur.recv_prefix:
+            if list(ops[: cur.recv_len]) == cur.recv_prefix:
                 # Histories only grow, so a same-incarnation Full extends the
                 # known prefix: integrate the suffix as if it were an
                 # increment (usually empty).
                 return self._integrate_suffix(from_site, ops[cur.recv_len:])
-            if cur.recv_prefix[: len(ops)] == ops:
+            if tuple(cur.recv_prefix[: len(ops)]) == ops:
                 # Strict prefix of what we already integrated: a duplicated
                 # or overtaken Full from the past.  Rewinding the cursor for
                 # it would desynchronize the stream accounting for good.
@@ -189,8 +200,8 @@ class SiteState:
         try:
             fresh, rem = transform_patch(self.rt, cur.peer_state, suffix, cur.remainder)
             if self.verify:
-                self._verify_against_direct(cur.recv_prefix + suffix, fresh, rem)
-            cur.recv_prefix = cur.recv_prefix + suffix
+                self._verify_against_direct((*cur.recv_prefix, *suffix), fresh, rem)
+            cur.recv_prefix.extend(suffix)
             cur.recv_len = len(cur.recv_prefix)
             cur.peer_state = apply_patch(self.rt, cur.peer_state, suffix)
             cur.remainder = rem
@@ -205,7 +216,7 @@ class SiteState:
         cur = self.peers[from_site]
         try:
             fresh, rem = transform_patch(self.rt, self.base, ops, self.history)
-            cur.recv_prefix = ops
+            cur.recv_prefix = list(ops)
             cur.recv_len = len(ops)
             cur.peer_state = apply_patch(self.rt, self.base, ops)
             cur.remainder = rem
@@ -220,7 +231,7 @@ class SiteState:
         if is_identity(fresh):
             return []
         self.current = apply_patch(self.rt, self.current, fresh)
-        self.history = compose(self.history, fresh)
+        self._append(fresh)
         for op in fresh:
             # Own edits can come back after a restart (peer replays them in a
             # Full); never reuse their sequence numbers.
@@ -230,6 +241,15 @@ class SiteState:
             if peer != from_site:
                 cur.remainder = cur.remainder + fresh
         return self._broadcast()
+
+    def _append(self, ops: Patch) -> None:
+        """Extend the history by ops, refusing any uid it already holds, as
+        ``core.compose`` does, at a cost that does not grow with it."""
+        shared = {op.uid for op in ops if op.uid in self.uids}
+        if shared:
+            raise ComposeError(f"duplicate uids across composition: {sorted(shared)}")
+        self.history = self.history + ops
+        self.uids.update(op.uid for op in ops)
 
     def _broadcast(self) -> List[Tuple[int, Message]]:
         out = []
@@ -270,6 +290,7 @@ class SiteState:
 
     def check_invariants(self) -> None:
         assert self.current == apply_patch(self.rt, self.base, self.history)
+        assert self.uids == {op.uid for op in self.history}
         own = [op.uid for op in self.history if op.uid.site == self.site]
         assert all(u.seq < self.next_seq for u in own)
 

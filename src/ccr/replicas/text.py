@@ -55,17 +55,19 @@ class TextState:
 
     It stands for the visible text in ``len``, truthiness, indexing,
     slicing, ``str`` and comparison with a plain ``str``, which is accepted
-    as a state with nothing hidden.  The text is rendered on first use.  Two
+    as a state with nothing hidden.  The text and its length are worked out
+    on first use and kept, since a state never changes.  Two
     TextStates are equal only when their models agree, hidden characters
     included.
     """
 
-    __slots__ = ("model", "mask", "_text")
+    __slots__ = ("model", "mask", "_text", "_len")
 
     def __init__(self, model: str, mask: bytes):
         self.model = model
         self.mask = mask
         self._text = None
+        self._len = None
 
     def __str__(self):
         if self._text is None:
@@ -73,7 +75,9 @@ class TextState:
         return self._text
 
     def __len__(self):
-        return self.mask.count(1)
+        if self._len is None:
+            self._len = self.mask.count(1)
+        return self._len
 
     def __getitem__(self, index):
         return str(self)[index]

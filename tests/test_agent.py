@@ -1,4 +1,5 @@
 import asyncio
+import logging
 import socket
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import textwrap
 
 import pytest
 
+import ccr.agent as agent_mod
 from ccr.agent import Agent, AgentConfig, parse_addr
 from support import AGENT, AGENT_ENV
 
@@ -188,6 +190,58 @@ class TestInProcess:
                 await c._shutdown()
 
         asyncio.run(flow())
+
+    def test_long_history_catches_up_in_one_frame(self):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            for _ in range(5000):
+                a.state.local_update(("incr", 1))
+            assert await a.start() is None
+            # The Full that answers the dialer's resync carries all 5,000 ops
+            # in one line of about 250 KB.
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                  connect=(addr(pa),)))
+            assert await b.start() is None
+            try:
+                await wait_for(lambda: len(b.state.history) == 5000, timeout=20)
+                assert await b._sync(10) and await a._sync(10)
+                assert a.state.digest() == b.state.digest() == "5000"
+                assert 1 in a.links and 0 in b.links
+            finally:
+                await a._shutdown()
+                await b._shutdown()
+
+        asyncio.run(flow())
+
+    def test_overlong_frame_drops_only_that_link(self, monkeypatch, caplog):
+        monkeypatch.setattr(agent_mod, "FRAME_LIMIT", 4096)
+
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                  connect=(addr(pa),)))
+            assert await a.start() is None
+            assert await b.start() is None
+            try:
+                await wait_for(lambda: 1 in a.links)
+                b.links[0].writer.write(b"x" * 5000 + b"\n")
+                await wait_for(lambda: 1 not in a.links)
+                assert a.exit_code == 0 and not a._stopping.is_set()
+                # The site keeps serving: a new link works.
+                await wait_for(lambda: 0 not in b.links)
+                await b._exec(f"connect 127.0.0.1:{pa}")
+                await b._exec("incr 2")
+                assert await b._sync(5) and await a._sync(5)
+                assert a.state.digest() == "2"
+            finally:
+                await a._shutdown()
+                await b._shutdown()
+
+        with caplog.at_level(logging.WARNING, logger="ccr.agent"):
+            asyncio.run(flow())
+        assert any("dropping site 1" in r.getMessage() for r in caplog.records)
 
 
 class TestSubprocess:

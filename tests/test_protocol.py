@@ -141,6 +141,17 @@ class TestRecovery:
         out = a2.local_update(("incr", 1))
         assert out[0][1].ops[0].uid == OpId(0, 3)
 
+    def test_resent_op_faults_naming_its_uid(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        inc = a.local_update(("incr", 1))[0][1]
+        b.handle_message(0, inc)
+        # The stream position is right, but the op is already integrated.
+        again = Increment(kind="counter", sender=0, prefix_len=1, ops=inc.ops)
+        with pytest.raises(SiteFaulted, match=r"duplicate uids.*\(0,1\)"):
+            b.handle_message(0, again)
+        assert b.faulted is not None
+
     def test_full_from_restarted_peer_replaces_prefix(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
@@ -260,6 +271,30 @@ def test_verified_cache_under_shuffled_delivery(kind, nsites, seed):
         drain(sites, pending)
     assert len({s.digest() for s in sites.values()}) == 1
     assert quiescent(sites, 0)
+    for s in sites.values():
+        s.check_invariants()
+
+
+def test_work_per_op_does_not_grow_with_history(monkeypatch):
+    """Uid hashing per op stays flat: appending checks the new ops against
+    an index, not against a set rebuilt from the whole history."""
+    calls = [0]
+    real_hash = OpId.__hash__
+
+    def counting_hash(self):
+        calls[0] += 1
+        return real_hash(self)
+
+    monkeypatch.setattr(OpId, "__hash__", counting_hash)
+    sites = mesh("counter", 2)
+    at = {}  # history length -> hash calls so far
+    while len(sites[0].history) < 2000:
+        i = len(sites[0].history) % 2
+        drain(sites, outbox(i, sites[i].local_update(("incr", 1))))
+        at[len(sites[0].history)] = calls[0]
+    early = (at[300] - at[100]) / 200
+    late = (at[2000] - at[1800]) / 200
+    assert 0 < late <= 2 * early
     for s in sites.values():
         s.check_invariants()
 
