@@ -15,14 +15,16 @@ its full history, which integrates harmlessly (everything known cancels).
 
 Transforming the peer's whole cumulative patch against the whole local
 history on every receipt would cost |M|x|H| per message.  The cursor
-therefore caches, per peer, the state the peer's known patch reaches and the
-local history's *remainder* rewritten into the peer's frame (everything we
-hold that the peer's patch does not account for).  An arriving suffix S then
-needs only transform_patch(peer_state, S, remainder): by the compositional
-property this yields exactly the same result as the full computation, since
-the known prefix transforms to identity against our history by construction.
-``SiteState(verify=True)`` re-runs the full computation on every receipt and
-asserts both routes agree.
+therefore caches, per peer, only the local history's *remainder* rewritten
+into the peer's frame (everything we hold that the peer's patch does not
+account for).  An arriving suffix S then needs only transform(S, remainder):
+by the compositional property this yields exactly the same result as the
+full computation, since the known prefix transforms to identity against our
+history by construction.  The sweep reads no state, so no state of the
+peer's is kept; the peer's ops are checked where their rewritten forms are
+applied to ``current`` at commit, and an op that does not apply faults the
+site there.  ``SiteState(verify=True)`` re-runs the full computation on every
+receipt and asserts both routes agree.
 
 The rest of one receipt's bookkeeping is kept from growing with the
 history.  Appending must refuse an op whose uid the history already holds
@@ -101,8 +103,7 @@ class PeerCursor:
     recv_len: int = 0
     # The peer's history as far as integrated; extended in place.
     recv_prefix: List[Operation] = field(default_factory=list)
-    # Cache for incremental integration (see module docstring).
-    peer_state: Any = None
+    # Local history rewritten into the peer's frame (see module docstring).
     remainder: Patch = ()
 
 
@@ -128,7 +129,7 @@ class SiteState:
         degrades to a resync on their first prefix check."""
         cur = self.peers.get(peer_site)
         if cur is None:
-            cur = PeerCursor(peer_state=self.base, remainder=self.history)
+            cur = PeerCursor(remainder=self.history)
             self.peers[peer_site] = cur
         cur.sent_len = min(known_len, len(self.history))
 
@@ -198,12 +199,13 @@ class SiteState:
     def _integrate_suffix(self, from_site: int, suffix: Patch) -> List[Tuple[int, Message]]:
         cur = self.peers[from_site]
         try:
-            fresh, rem = transform_patch(self.rt, cur.peer_state, suffix, cur.remainder)
+            # The suffix applies in the peer's frame, which is never built:
+            # the sweep needs no state.
+            fresh, rem = transform_patch(self.rt, None, suffix, cur.remainder)
             if self.verify:
                 self._verify_against_direct((*cur.recv_prefix, *suffix), fresh, rem)
             cur.recv_prefix.extend(suffix)
             cur.recv_len = len(cur.recv_prefix)
-            cur.peer_state = apply_patch(self.rt, cur.peer_state, suffix)
             cur.remainder = rem
             return self._commit(from_site, fresh)
         except (ProtocolError, SiteFaulted):
@@ -218,7 +220,6 @@ class SiteState:
             fresh, rem = transform_patch(self.rt, self.base, ops, self.history)
             cur.recv_prefix = list(ops)
             cur.recv_len = len(ops)
-            cur.peer_state = apply_patch(self.rt, self.base, ops)
             cur.remainder = rem
             return self._commit(from_site, fresh)
         except (ProtocolError, SiteFaulted):

@@ -25,7 +25,7 @@ class AddMultType(ReplicaType):
             return state * n
         raise ApplyError(f"unknown addmult op {tag!r}")
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         ta, na = a.body
         tb, nb = b.body
         if ta == "Add" and tb == "Mult":

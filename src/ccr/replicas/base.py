@@ -24,12 +24,12 @@ class ReplicaType:
         """Apply one operation.  Raises ApplyError on ill-formed input."""
         raise NotImplementedError
 
-    def transform_prim(self, state: Any, a: Operation, b: Operation) -> Tuple[Patch, Patch]:
+    def transform_prim(self, a: Operation, b: Operation) -> Tuple[Patch, Patch]:
         """Rewrite two concurrent single operations across each other.
 
-        Both must be applicable to ``state`` and carry distinct uids (equal
-        uids cancel one level up).  Returns patches: a fragment may split, a
-        subsumed op comes back empty.
+        Both apply to one state and carry distinct uids (equal uids cancel one
+        level up).  The rewrite reads the two bodies only, never a state.
+        Returns patches: a fragment may split, a subsumed op comes back empty.
         """
         raise NotImplementedError
 

@@ -41,15 +41,13 @@ class TupleType(ReplicaType):
         slot = comp.apply(state[i], self._inner(op.uid, i, body))
         return state[:i] + (slot,) + state[i + 1:]
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         _, ia, ba = a.body
         _, ib, bb = b.body
         if ia != ib:
             return (a,), (b,)
         comp = self.components[ia]
-        pa, pb = comp.transform_prim(
-            state[ia], self._inner(a.uid, ia, ba), self._inner(b.uid, ib, bb)
-        )
+        pa, pb = comp.transform_prim(self._inner(a.uid, ia, ba), self._inner(b.uid, ib, bb))
         a2 = tuple(self.op(o.uid, "At", ia, o.body) for o in pa)
         b2 = tuple(self.op(o.uid, "At", ia, o.body) for o in pb)
         return a2, b2
@@ -105,17 +103,14 @@ class MapType(ReplicaType):
         new[key] = cur
         return new
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         _, ka, pa = a.body
         _, kb, pb = b.body
         if ka != kb:
             return (a,), (b,)
-        comp_state = state.get(ka, self.component.initial())
+        # The entry's state is not at hand, and the sweep reads none.
         left, right = transform_patch(
-            self.component,
-            comp_state,
-            self._inner_patch(a.uid, pa),
-            self._inner_patch(b.uid, pb),
+            self.component, None, self._inner_patch(a.uid, pa), self._inner_patch(b.uid, pb)
         )
         a2 = (self.op(a.uid, "Upd", ka, tuple(o.body for o in left)),) if left else ()
         b2 = (self.op(b.uid, "Upd", kb, tuple(o.body for o in right)),) if right else ()

@@ -28,7 +28,7 @@ class CounterType(ReplicaType):
             raise ApplyError("counter overflow")
         return v
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         return (a,), (b,)
 
     def gen_effective(self, state, intent, uid):

@@ -28,7 +28,7 @@ class ESetType(ReplicaType):
             return state - {x}
         raise ApplyError(f"unknown eset op {tag!r}")
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         ta, xa = a.body
         tb, xb = b.body
         if xa != xb:

@@ -27,7 +27,7 @@ class LwwType(ReplicaType):
             raise ApplyError(f"unknown lww op {tag!r}")
         return frozenset(c for c in state if c[0] in keep) | {(op.uid, s)}
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         ta, sa, ka = a.body
         tb, sb, kb = b.body
         a2 = self.op(a.uid, "WriteExcept", sa, ka | {b.uid})

@@ -35,7 +35,7 @@ class QueueType(ReplicaType):
             return (enq, deq | {target})
         raise ApplyError(f"unknown queue op {tag!r}")
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         ta, tb = a.body[0], b.body[0]
         if ta == "EnqAt" and tb == "EnqAt":
             _, k1, x1 = a.body

@@ -140,7 +140,7 @@ class TextType(ReplicaType):
             return TextState(model, mask[:k] + HIDDEN * n + mask[k + n:])
         raise ApplyError(f"unknown text op {tag!r}")
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         ta, tb = a.body[0], b.body[0]
         if ta == "Ins" and tb == "Ins":
             return self._ins_ins(a, b)

@@ -7,6 +7,7 @@ import sys
 
 import ccr
 from ccr.core import ApplyError
+from ccr.replicas.base import ReplicaType
 from ccr.replicas.text import TextType
 
 # The console script when installed, else the same entry point through
@@ -16,6 +17,26 @@ AGENT = [_SCRIPT] if _SCRIPT else [sys.executable, "-m", "ccr", "agent"]
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ccr.__file__)))
 AGENT_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+
+
+def count_applies(monkeypatch):
+    """Count every call to ``apply`` on the replica classes, composites and
+    their components included; returns a one-item list holding the count."""
+    calls = [0]
+    todo = [ReplicaType]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        real = vars(cls).get("apply")
+        if real is None:
+            continue
+
+        def counting(self, state, op, _real=real):
+            calls[0] += 1
+            return _real(self, state, op)
+
+        monkeypatch.setattr(cls, "apply", counting)
+    return calls
 
 
 class BrokenTieText(TextType):
@@ -54,7 +75,7 @@ class PositionalText(TextType):
             return state[:k] + state[k + n:]
         raise ApplyError(f"unknown text op {tag!r}")
 
-    def transform_prim(self, state, a, b):
+    def transform_prim(self, a, b):
         ta, tb = a.body[0], b.body[0]
         if ta == "Ins" and tb == "Ins":
             return self._ins_ins(a, b)

@@ -15,6 +15,8 @@ from ccr import (
     transform_patch,
 )
 from ccr.replicas import replica_type
+from ccr.sim import random_intent
+from support import count_applies
 
 C = replica_type("counter")
 T = replica_type("text")
@@ -112,6 +114,48 @@ class TestTransform:
         left, right = transform_patch(T, "abcde", p, q)
         assert {op.uid for op in left} <= {op.uid for op in p}
         assert {op.uid for op in right} <= {op.uid for op in q}
+
+
+class TestStateFreeSweep:
+    """The sweep rewrites ops from their bodies alone and applies none."""
+
+    def test_two_by_two_text_sweep_applies_nothing(self, monkeypatch):
+        p = (T.op(OpId(0, 1), "Ins", 1, "x"), T.op(OpId(0, 2), "Del", 0, 1))
+        q = (T.op(OpId(1, 1), "Del", 0, 2), T.op(OpId(1, 2), "Ins", 0, "yz"))
+        calls = count_applies(monkeypatch)
+        transform_patch(T, "ab", p, q)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("kind", ["text", "queue", "socialmedia", "tuple<counter,text>"])
+    def test_random_pairs_apply_nothing(self, kind, monkeypatch):
+        rt = replica_type(kind)
+        rng = random.Random(f"state-free-{kind}")
+        cases = []
+        for _ in range(60):
+            _, base = _random_patch(rt, rng, rt.initial(), site=9)
+            p, _ = _random_patch(rt, rng, base, site=0)
+            q, _ = _random_patch(rt, rng, base, site=1)
+            cases.append((base, p, q))
+        calls = count_applies(monkeypatch)
+        for base, p, q in cases:
+            transform_patch(rt, base, p, q)
+            confluent_rep(rt, base, p, q)
+        assert calls[0] == 0
+
+
+def _random_patch(rt, rng, state, site):
+    """Up to four effective ops from ``state``; returns (patch, end state)."""
+    ops = []
+    for seq in range(1, rng.randint(1, 4) + 1):
+        if rt.name == "tuple<counter,text>":
+            i = rng.randrange(2)
+            intent = ("at", i, random_intent(rt.components[i], rng, state[i]))
+        else:
+            intent = random_intent(rt, rng, state)
+        op = rt.gen_effective(state, intent, OpId(site, seq))
+        ops.append(op)
+        state = rt.apply(state, op)
+    return tuple(ops), state
 
 
 class TestConfluentRep:

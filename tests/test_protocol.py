@@ -14,6 +14,7 @@ from ccr.protocol import (
     SiteState,
     quiescent,
 )
+from support import count_applies
 
 
 def mesh(kind, n, verify=False):
@@ -167,6 +168,37 @@ class TestRecovery:
         drain(sites, pending)
         assert a.current == b2.current == 6
         assert quiescent(sites, 0)
+
+
+class TestCommitCheck:
+    """No state of a peer's is kept, so its ops are checked once, where
+    their rewritten forms are applied to ``current`` at commit."""
+
+    def test_received_op_is_applied_once(self, monkeypatch):
+        sites = mesh("counter", 2)
+        inc = sites[1].local_update(("incr", 3))[0][1]
+        calls = count_applies(monkeypatch)
+        sites[0].handle_message(1, inc)
+        assert calls[0] == 1
+        assert sites[0].current == 3
+
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["alone", "concurrent"])
+    @pytest.mark.parametrize("body", [("Del", 2, 5), ("Ins", 9, "x")], ids=["del", "ins"])
+    def test_op_out_of_range_in_peer_frame_faults(self, body, concurrent):
+        rt = replica_type("text")
+        sites = mesh("text", 2)
+        a, b = sites[0], sites[1]
+        drain(sites, outbox(1, b.local_update(("ins", 0, "abc"))))
+        if concurrent:
+            a.local_update(("ins", 0, "xy"))  # never delivered
+        # Out of range on "abc", the peer's own frame.
+        bad = rt.op(OpId(1, 2), *body)
+        inc = Increment(kind="text", sender=1, prefix_len=a.peers[1].recv_len, ops=(bad,))
+        with pytest.raises(SiteFaulted, match=r"out of range.*\(uid=\(1,2\)\)"):
+            a.handle_message(1, inc)
+        assert a.faulted is not None
+        with pytest.raises(SiteFaulted, match="previously faulted"):
+            a.local_update(("ins", 0, "z"))
 
 
 class TestChain:

@@ -124,12 +124,23 @@ def test_nonterminating_budget():
     assert not r.converged
 
 
+@pytest.mark.parametrize("kind", CLEAN_KINDS + ["text"])
+def test_verified_ring_converges(kind):
+    # verify=True re-runs the full transform at every receipt and asserts it
+    # matches the incremental one.
+    for seed in range(3):
+        cfg = SimConfig(kind=kind, sites=4, ops_per_site=8, seed=seed, topology="ring",
+                        reorder=True, duplicate=True, verify=True)
+        r = run_trial(cfg)
+        assert r.converged, r.summary()
+
+
 def test_injected_broken_transform_is_detected(monkeypatch):
     # The harness is only worth anything if it catches a wrong transform:
     # make counter transforms drop the other side's operation.
     rt = replica_type("counter")
 
-    def broken(state, a, b):
+    def broken(a, b):
         return TransformResult((a,), ())
 
     monkeypatch.setattr(rt, "transform_prim", broken)
