@@ -55,6 +55,7 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
     reasons: dict = {}
     messages = 0
     max_inflight = 0
+    stats: dict = {}
     for i in range(args.trials):
         cfg = SimConfig(kind=args.replica, sites=args.sites, ops_per_site=args.ops,
                         seed=args.seed + i, topology=args.topology,
@@ -63,6 +64,8 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
         reasons[rep.reason] = reasons.get(rep.reason, 0) + 1
         messages += rep.messages_sent
         max_inflight = max(max_inflight, rep.max_inflight)
+        for name, n in rep.stats.items():
+            stats[name] = stats.get(name, 0) + n
         if not rep.converged:
             failed.append({"seed": rep.seed, "reason": rep.reason, "digests": rep.digests})
     elapsed = time.monotonic() - t0
@@ -82,7 +85,7 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
         "topology": args.topology, "reorder": args.reorder, "duplicate": args.duplicate,
         "seed": args.seed, "trials": args.trials, "converged": ok,
         "failed": failed, "reasons": reasons,
-        "messages_sent": messages, "max_inflight": max_inflight,
+        "messages_sent": messages, "max_inflight": max_inflight, "stats": stats,
         "elapsed_s": round(elapsed, 3),
     }))
     return 0 if not failed else 1

@@ -9,9 +9,18 @@ integrated cancel by uid during transformation, so a patch with nothing new
 transforms to the identity and the broadcast stops there: updates terminate
 on their own, even on cyclic topologies, with no clocks and no coordinator.
 
-Out-of-order or duplicated delivery makes ``prefix_len`` disagree with the
-cursor; the receiver answers with a resync request and the peer replies with
-its full history, which integrates harmlessly (everything known cancels).
+Every message from a peer is a piece of one append-only stream: an
+``Increment`` covers the peer's history from ``prefix_len`` on, a ``Full``
+covers it from position 0.  The part of a piece that overlaps what the cursor
+has already integrated must equal it; then only the ops past the cursor are
+new, so a duplicate or an overtaken piece is dropped by position and an
+overlapping one integrates just its tail.  A resync happens only when the
+stream is broken: on a gap (the piece starts past the cursor) or on an
+overlap that disagrees (the peer is a new incarnation).  The receiver then
+asks for the peer's full history, which integrates harmlessly (everything
+known cancels).  At most one request is in flight per peer: pieces broken
+while it is pending are dropped, and if any of them reached past what the
+answering ``Full`` brought, one more request follows that ``Full``.
 
 Transforming the peer's whole cumulative patch against the whole local
 history on every receipt would cost |M|x|H| per message.  The cursor
@@ -105,6 +114,34 @@ class PeerCursor:
     recv_prefix: List[Operation] = field(default_factory=list)
     # Local history rewritten into the peer's frame (see module docstring).
     remainder: Patch = ()
+    # A ResyncReq is out and its Full has not come back yet.
+    resync_pending: bool = False
+    # Furthest stream position of a piece dropped while it was out.
+    resync_hw: int = 0
+
+
+@dataclass
+class SiteStats:
+    """Counts of what this site has done; ``ccr-sim`` sums them over sites."""
+
+    resync_reqs: int = 0  # ResyncReqs sent
+    fulls_served: int = 0  # Fulls sent in answer to one
+    stale_dropped: int = 0  # peer messages that held nothing new
+
+
+def _novel_tail(cur: PeerCursor, start: int, ops: Patch) -> Optional[Patch]:
+    """The ops of a piece of the peer's stream, starting at position
+    ``start``, that lie past what ``cur`` has integrated; None if the piece
+    does not continue that prefix (a gap, or an overlap that disagrees)."""
+    have = cur.recv_len
+    if start == have:
+        return ops
+    if start > have:
+        return None
+    overlap = min(start + len(ops), have) - start
+    if cur.recv_prefix[start:start + overlap] != list(ops[:overlap]):
+        return None
+    return ops[overlap:]
 
 
 class SiteState:
@@ -119,6 +156,7 @@ class SiteState:
         self.peers: Dict[int, PeerCursor] = {}
         self.faulted: Optional[str] = None
         self.verify = verify
+        self.stats = SiteStats()
 
     # -- peer management ----------------------------------------------------
 
@@ -126,12 +164,15 @@ class SiteState:
         """Create or refresh the cursor for a peer (a Hello arrived or we
         dialed).  known_len is the peer's claim of how much of our history it
         already holds; an overclaim (stale or fresh restart on their side)
-        degrades to a resync on their first prefix check."""
+        degrades to a resync on their first prefix check.  A request still
+        pending on an old link is forgotten, so the next gap asks again."""
         cur = self.peers.get(peer_site)
         if cur is None:
             cur = PeerCursor(remainder=self.history)
             self.peers[peer_site] = cur
         cur.sent_len = min(known_len, len(self.history))
+        cur.resync_pending = False
+        cur.resync_hw = 0
 
     # -- local edits ---------------------------------------------------------
 
@@ -162,27 +203,44 @@ class SiteState:
                 raise ProtocolError(
                     f"kind mismatch: peer sends {msg.kind!r}, this site is {self.rt.name!r}"
                 )
-            if msg.prefix_len != cur.recv_len:
-                return [(from_site, ResyncReq())]
-            return self._integrate_suffix(from_site, tuple(msg.ops))
+            ops = tuple(msg.ops)
+            if msg.prefix_len != cur.recv_len:  # in order is the common case
+                tail = _novel_tail(cur, msg.prefix_len, ops)
+                if tail is None:
+                    return self._request_resync(from_site, msg.prefix_len + len(ops))
+                ops = tail
+            return self._integrate_suffix(from_site, ops)
         if isinstance(msg, ResyncReq):
             reply = Full(sender=self.site, ops=self.history)
             cur.sent_len = len(self.history)
+            self.stats.fulls_served += 1
             return [(from_site, reply)]
         if isinstance(msg, Full):
             ops = tuple(msg.ops)
-            if list(ops[: cur.recv_len]) == cur.recv_prefix:
-                # Histories only grow, so a same-incarnation Full extends the
-                # known prefix: integrate the suffix as if it were an
-                # increment (usually empty).
-                return self._integrate_suffix(from_site, ops[cur.recv_len:])
-            if tuple(cur.recv_prefix[: len(ops)]) == ops:
-                # Strict prefix of what we already integrated: a duplicated
-                # or overtaken Full from the past.  Rewinding the cursor for
-                # it would desynchronize the stream accounting for good.
-                return []
-            return self._integrate_full(from_site, ops)
+            cur.resync_pending = False
+            tail = _novel_tail(cur, 0, ops)
+            if tail is None:
+                out = self._integrate_full(from_site, ops)
+            else:
+                out = self._integrate_suffix(from_site, tail)
+            if cur.resync_hw > cur.recv_len:
+                # A piece dropped while the request was out may have been
+                # sent after the peer cut this Full.
+                out += self._request_resync(from_site, cur.resync_hw)
+            cur.resync_hw = 0
+            return out
         raise ProtocolError(f"unknown message {msg!r}")
+
+    def _request_resync(self, from_site: int, end: int) -> List[Tuple[int, Message]]:
+        """The peer's stream broke at a piece reaching position ``end``: ask
+        for its full history unless a request is already out."""
+        cur = self.peers[from_site]
+        if cur.resync_pending:
+            cur.resync_hw = max(cur.resync_hw, end)
+            return []
+        cur.resync_pending = True
+        self.stats.resync_reqs += 1
+        return [(from_site, ResyncReq())]
 
     def _handle_hello(self, msg: Hello) -> List[Tuple[int, Message]]:
         if msg.site == self.site:
@@ -197,6 +255,9 @@ class SiteState:
     # -- integration core ----------------------------------------------------
 
     def _integrate_suffix(self, from_site: int, suffix: Patch) -> List[Tuple[int, Message]]:
+        if not suffix:
+            self.stats.stale_dropped += 1
+            return []
         cur = self.peers[from_site]
         try:
             # The suffix applies in the peer's frame, which is never built:

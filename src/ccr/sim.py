@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from .core import CcrError, IntentError, OpId
-from .protocol import SiteState, quiescent
+from .protocol import SiteState, SiteStats, quiescent
 from .replicas import replica_type
 from .replicas.base import ReplicaType
 
@@ -54,6 +54,7 @@ class TrialReport:
     max_inflight: int
     events: int
     script: List[Tuple[int, int, Tuple[Any, ...]]] = field(default_factory=list)
+    stats: Dict[str, int] = field(default_factory=dict)  # SiteStats summed over sites
 
     def summary(self) -> str:
         flag = "ok" if self.converged else f"FAIL ({self.reason})"
@@ -182,16 +183,21 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
         max_inflight = max(max_inflight, inflight)
         messages_sent += 1
 
+    def report(reason: str) -> TrialReport:
+        digests = {i: s.digest() for i, s in sites.items()}
+        if reason == "ok" and len(set(digests.values())) != 1:
+            reason = "divergence"
+        stats = {f.name: sum(getattr(s.stats, f.name) for s in sites.values())
+                 for f in fields(SiteStats)}
+        return TrialReport(cfg.seed, reason == "ok", reason, digests,
+                           messages_sent, max_inflight, events, recorded, stats)
+
     events = 0
     fault: Optional[str] = None
     while heap:
         events += 1
         if events > cfg.max_events:
-            return TrialReport(
-                cfg.seed, False, "nonterminating",
-                {i: s.digest() for i, s in sites.items()},
-                messages_sent, max_inflight, events, recorded,
-            )
+            return report("nonterminating")
         now, _, kind, payload = heapq.heappop(heap)
         try:
             if kind == "update":
@@ -222,14 +228,11 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
             fault = f"fault: {e}"
             break
 
-    digests = {i: s.digest() for i, s in sites.items()}
     if fault is not None:
-        return TrialReport(cfg.seed, False, fault, digests, messages_sent, max_inflight, events, recorded)
+        return report(fault)
     if not quiescent(sites, 0):
-        return TrialReport(cfg.seed, False, "drained without quiescence", digests, messages_sent, max_inflight, events, recorded)
-    if len(set(digests.values())) != 1:
-        return TrialReport(cfg.seed, False, "divergence", digests, messages_sent, max_inflight, events, recorded)
-    return TrialReport(cfg.seed, True, "ok", digests, messages_sent, max_inflight, events, recorded)
+        return report("drained without quiescence")
+    return report("ok")
 
 
 def shrink_trial(cfg: SimConfig, report: TrialReport) -> Tuple[SimConfig, TrialReport]:

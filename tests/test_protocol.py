@@ -12,6 +12,7 @@ from ccr.protocol import (
     ResyncReq,
     SiteFaulted,
     SiteState,
+    SiteStats,
     quiescent,
 )
 from support import count_applies
@@ -87,21 +88,42 @@ class TestTwoSites:
 
 
 class TestRecovery:
-    def test_duplicate_increment_resync_full(self):
+    def test_duplicate_increment_dropped_by_position(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         inc = a.local_update(("incr", 7))[0][1]
         b.handle_message(0, inc)
 
-        replies = b.handle_message(0, inc)  # duplicate
-        assert replies == [(0, ResyncReq())]
-        full_out = a.handle_message(1, replies[0][1])
+        # The duplicate's ops are what the cursor already holds at its
+        # position: nothing is new and nothing needs resyncing.
+        assert b.handle_message(0, inc) == []
+        assert b.current == 7
+        assert b.peers[0].recv_len == 1
+
+    def test_disagreeing_stale_increment_resync_full(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        drain(sites, outbox(0, a.local_update(("incr", 7))))
+        assert a.peers[1].recv_prefix == list(b.history)
+
+        # b restarts; its new stream starts over at a position a's cursor
+        # has passed, with ops that disagree with what it holds there.
+        b2 = SiteState(1, b.rt)
+        sites[1] = b2
+        b2.connect_peer(0)
+        a.connect_peer(1, known_len=0)
+        inc = b2.local_update(("incr", 2))[0][1]
+        assert inc.prefix_len < a.peers[1].recv_len
+        replies = a.handle_message(1, inc)
+        assert replies == [(1, ResyncReq())]
+        full_out = b2.handle_message(0, replies[0][1])
         assert len(full_out) == 1
         full = full_out[0][1]
-        assert isinstance(full, Full) and full.ops == a.history
-        # Full extends the known prefix by nothing: integrates silently.
-        assert b.handle_message(0, full) == []
-        assert b.current == 7
+        assert isinstance(full, Full) and full.ops == b2.history
+        drain(sites, outbox(0, a.handle_message(1, full)))
+        assert a.current == b2.current == 9
+        assert a.peers[1].recv_prefix == list(b2.history)
+        assert quiescent(sites, 0)
 
     def test_reordered_increments_recover(self):
         sites = mesh("counter", 2)
@@ -168,6 +190,112 @@ class TestRecovery:
         drain(sites, pending)
         assert a.current == b2.current == 6
         assert quiescent(sites, 0)
+
+
+class TestStreamPosition:
+    """Every peer message is a piece of the peer's stream; only a gap or a
+    disagreeing overlap resyncs, and one request at a time."""
+
+    def test_overlapping_increment_integrates_its_tail(self, monkeypatch):
+        sites = mesh("counter", 2, verify=True)
+        a, b = sites[0], sites[1]
+        first = a.local_update(("incr", 1))[0][1]
+        a.local_update(("incr", 2))  # its increment is lost
+        b.handle_message(0, first)
+        overlapping = Increment(kind="counter", sender=0, prefix_len=0, ops=a.history)
+        calls = count_applies(monkeypatch)
+        echo = b.handle_message(0, overlapping)
+        assert calls[0] == 1  # the tail's one op, at commit
+        assert b.current == 3
+        assert b.peers[0].recv_prefix == list(a.history)
+        assert [type(m) for _, m in echo] == [Increment]
+        assert b.stats.resync_reqs == 0
+
+    def test_two_gaps_send_one_request(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        first, second, third = (a.local_update(("incr", n))[0][1] for n in (1, 2, 4))
+        assert b.handle_message(0, second) == [(0, ResyncReq())]
+        assert b.handle_message(0, third) == []
+        assert b.peers[0].resync_pending
+        assert b.stats.resync_reqs == 1
+        drain(sites, deque([(1, 0, ResyncReq()), (0, 1, first)]))
+        assert a.current == b.current == 7
+        assert not b.peers[0].resync_pending
+        assert quiescent(sites, 0)
+
+    def test_gap_past_the_full_is_asked_for_again(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        first = a.local_update(("incr", 1))[0][1]
+        second = a.local_update(("incr", 2))[0][1]
+        req = b.handle_message(0, second)
+        full = a.handle_message(1, req[0][1])[0][1]
+        # Sent after a cut the Full, arrives before it.
+        third = a.local_update(("incr", 4))[0][1]
+        assert b.handle_message(0, third) == []
+        assert b.peers[0].resync_hw == 3
+
+        out = b.handle_message(0, full)
+        assert b.peers[0].recv_len == 2
+        assert out.count((0, ResyncReq())) == 1
+        assert b.peers[0].resync_hw == 0
+        pending = deque((1, dst, m) for dst, m in out)
+        pending.append((0, 1, first))
+        drain(sites, pending)
+        assert a.current == b.current == 7
+        assert b.stats.resync_reqs == 2
+        assert quiescent(sites, 0)
+
+    def test_connect_peer_clears_pending_request(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        a.local_update(("incr", 1))
+        gap = a.local_update(("incr", 2))[0][1]
+        assert b.handle_message(0, gap) == [(0, ResyncReq())]
+        assert b.handle_message(0, gap) == []
+        assert b.peers[0].resync_hw == 2
+        b.connect_peer(0)  # the link dropped with the request in flight
+        assert not b.peers[0].resync_pending
+        assert b.peers[0].resync_hw == 0
+        assert b.handle_message(0, gap) == [(0, ResyncReq())]
+
+    def test_shorter_new_incarnation_costs_one_extra_request(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        a.local_update(("incr", 1))  # lost with the old incarnation
+        second = a.local_update(("incr", 2))[0][1]
+        third = a.local_update(("incr", 4))[0][1]
+        req = b.handle_message(0, second)
+        assert b.handle_message(0, third) == []
+        assert b.peers[0].resync_hw == 3
+
+        # a restarts before the request reaches it; the new incarnation's
+        # whole history is shorter than what b saw of the old one.
+        a2 = SiteState(0, a.rt)
+        sites[0] = a2
+        a2.connect_peer(1)
+        pending = outbox(0, a2.local_update(("incr", 5)))
+        pending.append((1, 0, req[0][1]))
+        drain(sites, pending)
+        assert a2.current == b.current == 5
+        assert b.stats.resync_reqs == 2
+        assert a2.stats.fulls_served == 2
+        assert not b.peers[0].resync_pending
+        assert quiescent(sites, 0)
+
+    def test_stats_count_one_duplicate_and_one_gap(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        first = a.local_update(("incr", 1))[0][1]
+        drain(sites, deque([(0, 1, first), (0, 1, first)]))  # a duplicate
+        second = a.local_update(("incr", 2))[0][1]
+        third = a.local_update(("incr", 4))[0][1]
+        drain(sites, deque([(0, 1, third), (0, 1, second)]))  # a gap
+        assert a.current == b.current == 7
+        assert quiescent(sites, 0)
+        assert b.stats == SiteStats(resync_reqs=1, fulls_served=0, stale_dropped=1)
+        assert a.stats == SiteStats(resync_reqs=0, fulls_served=1, stale_dropped=0)
 
 
 class TestCommitCheck:

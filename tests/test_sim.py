@@ -135,6 +135,31 @@ def test_verified_ring_converges(kind):
         assert r.converged, r.summary()
 
 
+@pytest.mark.parametrize("kind", CLEAN_KINDS + ["text"])
+def test_verified_full_mesh_converges_under_faults(kind):
+    for seed in range(2):
+        cfg = SimConfig(kind=kind, sites=5, ops_per_site=6, seed=seed, topology="full",
+                        reorder=True, duplicate=True, verify=True)
+        r = run_trial(cfg)
+        assert r.converged, r.summary()
+
+
+@pytest.mark.parametrize("kind", CLEAN_KINDS + ["text"])
+@pytest.mark.parametrize("sites,topology", [(3, "full"), (4, "ring")])
+def test_fifo_duplicates_never_resync(kind, sites, topology):
+    # On FIFO links a duplicate always arrives after its original, so it is
+    # stale by position: no stream ever breaks.
+    stale = 0
+    for seed in range(4):
+        cfg = SimConfig(kind=kind, sites=sites, ops_per_site=15, seed=seed,
+                        topology=topology, duplicate=True)
+        r = run_trial(cfg)
+        assert r.converged, r.summary()
+        assert r.stats["resync_reqs"] == 0 and r.stats["fulls_served"] == 0, r.stats
+        stale += r.stats["stale_dropped"]
+    assert stale > 0
+
+
 def test_injected_broken_transform_is_detected(monkeypatch):
     # The harness is only worth anything if it catches a wrong transform:
     # make counter transforms drop the other side's operation.
