@@ -2,9 +2,13 @@
 
 Framing is newline-delimited JSON (see wire).  Each connection starts with a
 Hello exchange; the dialer follows up with a resync request so a freshly
-(re)started process pulls the survivor's history immediately.  All site
-mutations happen on the event loop, between awaits, so the engine needs no
-locks.  Exit codes: 0 clean quit, 2 configuration error, 3 protocol fault.
+(re)started process pulls the survivor's history immediately.  After that a
+connection's frames are read in batches: one read takes whatever the socket
+holds, every complete line in it is integrated in order, and only then do
+the replies go out, with the increments to one peer that continue each other
+coalesced into one frame (``protocol.coalesce``).  All site mutations happen
+on the event loop, between awaits, so the engine needs no locks.  Exit
+codes: 0 clean quit, 2 configuration error, 3 protocol fault.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .core import CcrError, IntentError, WireError
-from .protocol import Hello, Message, ProtocolError, ResyncReq, SiteFaulted, SiteState
-from .repl import ReplError, parse_line, repl_eval
+from .protocol import Hello, Message, ProtocolError, SiteFaulted, SiteState, coalesce
+from .repl import Addr, ReplError, parse_line, repl_eval
+from .repl import parse_addr  # noqa: F401  (ccr.agent.parse_addr stays importable)
 from .replicas import replica_type
 from .wire import decode_message, encode_message
 
@@ -30,8 +35,8 @@ log = logging.getLogger("ccr.agent")
 # line, so this bounds what a restarted peer can catch up on: about 300k
 # counter ops.  A longer line drops the link.
 FRAME_LIMIT = 16 * 1024 * 1024
-
-Addr = Tuple[str, int]
+# Most bytes taken from a socket in one read; a batch is whatever it held.
+READ_CHUNK = 64 * 1024
 
 
 @dataclass
@@ -43,13 +48,6 @@ class AgentConfig:
     script: Optional[str] = None
     sync_default: float = 10.0
     quiet_window: float = 0.2
-
-
-def parse_addr(text: str) -> Addr:
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"expected host:port, got {text!r}")
-    return host, int(port)
 
 
 @dataclass
@@ -143,7 +141,7 @@ class Agent:
             writer.close()
             raise
         self._register(reply.site, reader, writer, addr)
-        await self._send([(reply.site, ResyncReq())])
+        await self._send(self.state.request_resync(reply.site))
         log.info("dialed site %d at %s:%d", reply.site, *addr)
         return reply.site
 
@@ -187,14 +185,21 @@ class Agent:
 
     async def _read_loop(self, peer: int, reader: asyncio.StreamReader) -> None:
         loop = asyncio.get_running_loop()
+        partial = bytearray()  # bytes of a line not yet complete
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                chunk = await reader.read(READ_CHUNK)
+                if not chunk:
                     break
                 self._last_traffic = loop.time()
-                out = self.state.handle_message(peer, decode_message(self.rt, line))
-                await self._send(out)
+                lines = chunk.split(b"\n")
+                partial += lines[0]
+                if len(lines) > 1:
+                    lines[0] = bytes(partial)
+                    partial = bytearray(lines.pop())
+                    await self._handle_batch(peer, lines)
+                if len(partial) > FRAME_LIMIT:
+                    raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes")
         except asyncio.CancelledError:
             return
         except SiteFaulted as e:
@@ -204,28 +209,49 @@ class Agent:
         except ConnectionError:
             pass
         except Exception:
-            # Anything else, such as the ValueError of a line longer than
-            # FRAME_LIMIT, ends this link only; the site keeps serving.
+            # Anything else ends this link only; the site keeps serving.
             log.exception("dropping site %d", peer)
         link = self.links.pop(peer, None)
         if link is not None:
             link.writer.close()
         log.info("site %d disconnected", peer)
 
+    async def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
+        """Integrate complete frames in order, then send their replies.  A
+        bad frame still lets the replies of the frames before it go out
+        before it drops the link; a fault sends nothing."""
+        out: List[Tuple[int, Message]] = []
+        try:
+            for frame in frames:
+                if len(frame) > FRAME_LIMIT:
+                    raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes")
+                out += self.state.handle_message(peer, decode_message(self.rt, frame))
+        except (WireError, ProtocolError):
+            await self._send(out)
+            raise
+        await self._send(out)
+
     async def _send(self, pairs: List[Tuple[int, Message]]) -> None:
-        loop = asyncio.get_running_loop()
-        for peer, msg in pairs:
+        """Write every message, contiguous increments to a peer as one, then
+        wait once for each link written to."""
+        written: Dict[int, _Link] = {}
+        for peer, msg in coalesce(pairs):
             link = self.links.get(peer)
             if link is None or link.writer.is_closing():
                 # not transport-connected right now; the resync path catches
                 # the peer up when the link returns
                 continue
             link.writer.write(encode_message(self.rt, msg))
-            self._last_traffic = loop.time()
+            written[peer] = link
+        if not written:
+            return
+        self._last_traffic = asyncio.get_running_loop().time()
+        for peer, link in written.items():
             try:
                 await link.writer.drain()
             except ConnectionError:
-                self.links.pop(peer, None)
+                if self.links.get(peer) is link:
+                    del self.links[peer]
 
     # -- command surface -------------------------------------------------------
 

@@ -8,8 +8,9 @@ import sys
 import time
 from typing import List, Optional
 
-from .agent import AgentConfig, parse_addr, run_agent
+from .agent import AgentConfig, run_agent
 from .props import PROPERTIES, check_properties
+from .repl import parse_addr
 from .sim import SimConfig, run_trial
 
 

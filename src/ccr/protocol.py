@@ -21,6 +21,9 @@ asks for the peer's full history, which integrates harmlessly (everything
 known cancels).  At most one request is in flight per peer: pieces broken
 while it is pending are dropped, and if any of them reached past what the
 answering ``Full`` brought, one more request follows that ``Full``.
+Because a piece is defined by its position alone, increments to one peer
+that continue each other can be sent as one (``coalesce``), and the peer
+integrates them exactly as it would the pieces one by one.
 
 Transforming the peer's whole cumulative patch against the whole local
 history on every receipt would cost |M|x|H| per message.  The cursor
@@ -51,7 +54,7 @@ is sequential by construction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .core import (
@@ -144,6 +147,31 @@ def _novel_tail(cur: PeerCursor, start: int, ops: Patch) -> Optional[Patch]:
     return ops[overlap:]
 
 
+def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
+    """Merge each ``Increment`` into the previous message to the same peer
+    when that is an ``Increment`` the new one continues (its ``prefix_len``
+    is where the previous one ends).  Every other message keeps its order;
+    messages to different peers are independent streams."""
+    merged: List[Tuple[int, Message, Optional[List[Operation]]]] = []
+    tail: Dict[int, int] = {}  # peer -> index of its last message, an Increment
+    for peer, msg in pairs:
+        i = tail.pop(peer, None)
+        if isinstance(msg, Increment):
+            if i is not None:
+                first, ops = merged[i][1], merged[i][2]
+                if msg.prefix_len == first.prefix_len + len(ops):
+                    ops.extend(msg.ops)
+                    tail[peer] = i
+                    continue
+            tail[peer] = len(merged)
+            merged.append((peer, msg, list(msg.ops)))
+        else:
+            merged.append((peer, msg, None))
+    return [(peer, msg if ops is None or len(ops) == len(msg.ops)
+             else replace(msg, ops=tuple(ops)))
+            for peer, msg, ops in merged]
+
+
 class SiteState:
     def __init__(self, site: int, rt: ReplicaType, verify: bool = False):
         self.site = site
@@ -230,6 +258,11 @@ class SiteState:
             cur.resync_hw = 0
             return out
         raise ProtocolError(f"unknown message {msg!r}")
+
+    def request_resync(self, peer: int) -> List[Tuple[int, Message]]:
+        """Ask the peer for its full history (as a dialer does), counted and
+        marked pending like any other request."""
+        return self._request_resync(peer, 0)
 
     def _request_resync(self, from_site: int, end: int) -> List[Tuple[int, Message]]:
         """The peer's stream broke at a piece reaching position ``end``: ask

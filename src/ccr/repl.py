@@ -8,8 +8,9 @@ else evaluates against a bare SiteState via repl_eval.
 
 from __future__ import annotations
 
+import json
 import shlex
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, List, Optional, Tuple
 
 from .core import CcrError, IntentError
@@ -20,6 +21,9 @@ CONTROL_VERBS = ("connect", "disconnect", "peers", "show", "history", "quit", "s
 
 POST_SLOTS = {"write": (0, "write"), "comment": (1, "add"),
               "like": (2, "incr"), "dislike": (3, "incr")}
+
+
+Addr = Tuple[str, int]
 
 
 class ReplError(CcrError):
@@ -34,14 +38,15 @@ class ReplCommand:
     intent: Optional[Tuple[Any, ...]] = None
 
 
-def _addr(token: str) -> Tuple[str, int]:
-    host, sep, port = token.rpartition(":")
+def parse_addr(text: str) -> Addr:
+    """``host:port`` as a pair; ValueError if the text is not one."""
+    host, sep, port = text.rpartition(":")
     if not sep or not host:
-        raise ReplError(f"expected host:port, got {token!r}")
+        raise ValueError(f"expected host:port, got {text!r}")
     try:
         return host, int(port)
     except ValueError:
-        raise ReplError(f"bad port in {token!r}") from None
+        raise ValueError(f"bad port in {text!r}") from None
 
 
 def _int(token: str, what: str) -> int:
@@ -68,8 +73,11 @@ def parse_line(kind: str, line: str) -> ReplCommand:
 
     if verb in ("connect", "disconnect"):
         _arity(verb, args, 1)
-        return ReplCommand(verb, _addr(args[0]))
-    if verb in ("peers", "show", "history", "quit"):
+        try:
+            return ReplCommand(verb, parse_addr(args[0]))
+        except ValueError as e:
+            raise ReplError(str(e)) from None
+    if verb in ("peers", "show", "history", "stats", "quit"):
         _arity(verb, args, 0)
         return ReplCommand(verb)
     if verb == "sync":
@@ -156,6 +164,8 @@ def repl_eval(state: SiteState, line: str) -> Tuple[SiteState, str, List[Tuple[i
         if not state.history:
             return state, "(empty)", []
         return state, "\n".join(repr(op) for op in state.history), []
+    if cmd.verb == "stats":
+        return state, json.dumps(asdict(state.stats), separators=(",", ":")), []
     if cmd.verb == "peers":
         if not state.peers:
             return state, "(none)", []

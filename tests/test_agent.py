@@ -9,6 +9,10 @@ import pytest
 
 import ccr.agent as agent_mod
 from ccr.agent import Agent, AgentConfig, parse_addr
+from ccr.core import OpId
+from ccr.protocol import Hello, Increment
+from ccr.replicas import replica_type
+from ccr.wire import decode_message, encode_message
 from support import AGENT, AGENT_ENV
 
 
@@ -42,6 +46,38 @@ async def wait_for(predicate, timeout=5.0):
         if loop.time() > deadline:
             raise AssertionError("condition not reached in time")
         await asyncio.sleep(0.02)
+
+
+class RawPeer:
+    """A site played by the test over a bare TCP connection."""
+
+    def __init__(self, kind, site):
+        self.rt = replica_type(kind)
+        self.site = site
+        self.seen = []  # uids of the ops in every frame read, in order
+        self.frames = 0
+
+    async def connect(self, port):
+        self.reader, self.writer = await asyncio.open_connection("127.0.0.1", port)
+        self.writer.write(encode_message(self.rt, Hello(self.site, self.rt.name, 0)))
+        assert isinstance(decode_message(self.rt, await self.reader.readline()), Hello)
+        return self
+
+    def frames_of(self, bodies):
+        """One single-op Increment frame per body, in stream order."""
+        return b"".join(
+            encode_message(self.rt, Increment(self.rt.name, self.site, i,
+                                              (self.rt.op(OpId(self.site, i + 1), *body),)))
+            for i, body in enumerate(bodies))
+
+    async def read_until(self, n, timeout=5.0):
+        """Read frames until ``n`` op uids have come back."""
+        async def loop():
+            while len(self.seen) < n:
+                msg = decode_message(self.rt, await self.reader.readline())
+                self.frames += 1
+                self.seen.extend(op.uid for op in msg.ops)
+        await asyncio.wait_for(loop(), timeout)
 
 
 def test_parse_addr():
@@ -242,6 +278,152 @@ class TestInProcess:
         with caplog.at_level(logging.WARNING, logger="ccr.agent"):
             asyncio.run(flow())
         assert any("dropping site 1" in r.getMessage() for r in caplog.records)
+
+
+    def test_dial_resync_is_counted_and_cleared(self, capsys):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            for _ in range(3):
+                a.state.local_update(("incr", 1))
+            assert await a.start() is None
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                  connect=(addr(pa),)))
+            assert await b.start() is None
+            try:
+                assert b.state.stats.resync_reqs == 1
+                assert b.state.peers[0].resync_pending
+                await wait_for(lambda: b.state.digest() == "3")
+                assert not b.state.peers[0].resync_pending
+                assert a.state.stats.fulls_served == 1
+                capsys.readouterr()
+                await b._exec("stats")
+                assert capsys.readouterr().out == \
+                    '{"resync_reqs":1,"fulls_served":0,"stale_dropped":0}\n'
+            finally:
+                await a._shutdown()
+                await b._shutdown()
+
+        asyncio.run(flow())
+
+
+class TestBatchedFrames:
+    """Frames are read in batches and the replies to one peer coalesced."""
+
+    def test_flood_in_one_write_echoes_in_fewer_frames(self):
+        n = 200
+
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                x.writer.write(x.frames_of([("Incr", 1)] * n))
+                await x.read_until(n)
+                assert x.seen == [OpId(1, i + 1) for i in range(n)]
+                assert x.frames < n
+                assert a.state.digest() == str(n)
+                x.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+
+    def test_split_frames_decode(self):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                data = x.frames_of([("Incr", 2), ("Incr", 3)])
+                first = data.index(b"\n") + 1
+                # the first frame across two writes, the second a byte at a time
+                x.writer.write(data[:first // 2])
+                await x.writer.drain()
+                await asyncio.sleep(0.05)
+                x.writer.write(data[first // 2:first])
+                for i in range(first, len(data)):
+                    x.writer.write(data[i:i + 1])
+                    await x.writer.drain()
+                    await asyncio.sleep(0)
+                await x.read_until(2)
+                assert a.state.digest() == "5"
+                x.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+
+    def test_bad_frame_after_good_ones(self, caplog):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                y = await RawPeer("counter", 2).connect(pa)
+                await wait_for(lambda: 2 in a.links)
+                x.writer.write(x.frames_of([("Incr", 1)] * 3) + b"not json\n")
+                await wait_for(lambda: 1 not in a.links)
+                await y.read_until(3)
+                assert y.seen == [OpId(1, 1), OpId(1, 2), OpId(1, 3)]
+                assert a.state.digest() == "3"
+                assert a.exit_code == 0 and 2 in a.links
+                x.writer.close()
+                y.writer.close()
+            finally:
+                await a._shutdown()
+
+        with caplog.at_level(logging.WARNING, logger="ccr.agent"):
+            asyncio.run(flow())
+        assert any("dropping site 1" in r.getMessage() for r in caplog.records)
+
+    def test_overlong_partial_line_drops_link(self, monkeypatch):
+        monkeypatch.setattr(agent_mod, "FRAME_LIMIT", 4096)
+
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                # a good frame, then a line that never ends
+                x.writer.write(x.frames_of([("Incr", 4)]) + b"x" * 3000)
+                await x.read_until(1)
+                assert 1 in a.links
+                x.writer.write(b"x" * 2000)
+                await wait_for(lambda: 1 not in a.links)
+                assert a.state.digest() == "4" and a.exit_code == 0
+                x.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+
+    def test_fault_sends_nothing_from_its_batch(self, capsys):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="text", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("text", 1).connect(pa)
+                y = await RawPeer("text", 2).connect(pa)
+                await wait_for(lambda: 2 in a.links)
+                # the second op is out of range of the first one's text
+                x.writer.write(x.frames_of([("Ins", 0, "abc"), ("Ins", 9, "x")]))
+                await wait_for(lambda: a.exit_code == 3)
+                assert a._stopping.is_set()
+                with pytest.raises(asyncio.TimeoutError):
+                    await y.read_until(1, timeout=0.3)
+                x.writer.close()
+                y.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+        assert "fatal:" in capsys.readouterr().err
 
 
 class TestSubprocess:

@@ -13,6 +13,7 @@ from ccr.protocol import (
     SiteFaulted,
     SiteState,
     SiteStats,
+    coalesce,
     quiescent,
 )
 from support import count_applies
@@ -391,6 +392,47 @@ class TestGuards:
         assert b.faulted is not None
         with pytest.raises(SiteFaulted):
             b.local_update(("add", "y"))
+
+
+class TestCoalesce:
+    rt = replica_type("counter")
+
+    def inc(self, prefix_len, *seqs):
+        ops = tuple(self.rt.op(OpId(0, q), "Incr", 1) for q in seqs)
+        return Increment(kind="counter", sender=0, prefix_len=prefix_len, ops=ops)
+
+    def test_contiguous_increments_merge(self):
+        merged = coalesce([(1, self.inc(0, 1)), (1, self.inc(1, 2, 3)), (1, self.inc(3, 4))])
+        assert merged == [(1, self.inc(0, 1, 2, 3, 4))]
+
+    def test_gap_stays_split(self):
+        pairs = [(1, self.inc(0, 1)), (1, self.inc(2, 3)), (1, self.inc(3, 4))]
+        assert coalesce(pairs) == [(1, self.inc(0, 1)), (1, self.inc(2, 3, 4))]
+
+    @pytest.mark.parametrize("between", [ResyncReq(), Full(sender=0, ops=())])
+    def test_other_message_blocks_merge(self, between):
+        pairs = [(1, self.inc(0, 1)), (1, between), (1, self.inc(1, 2))]
+        assert coalesce(pairs) == pairs
+
+    def test_peers_stay_independent(self):
+        pairs = [(1, self.inc(0, 1)), (2, self.inc(5, 1)), (2, ResyncReq()),
+                 (1, self.inc(1, 2)), (2, self.inc(6, 2)), (2, self.inc(7, 3))]
+        assert coalesce(pairs) == [(1, self.inc(0, 1, 2)), (2, self.inc(5, 1)),
+                                   (2, ResyncReq()), (2, self.inc(6, 2, 3))]
+
+    def test_merged_stream_integrates_like_its_pieces(self):
+        a = SiteState(0, self.rt)
+        a.connect_peer(1)
+        pieces = [m for i in range(5) for m in a.local_update(("incr", i + 1))]
+        assert len(pieces) == 5
+        one_by_one, at_once = SiteState(1, self.rt), SiteState(1, self.rt)
+        for b in (one_by_one, at_once):
+            b.connect_peer(0)
+        echoes = [m for _, inc in pieces for m in one_by_one.handle_message(0, inc)]
+        [(_, whole)] = coalesce(pieces)
+        assert at_once.handle_message(0, whole) == coalesce(echoes)
+        assert at_once.history == one_by_one.history
+        assert at_once.current == one_by_one.current == 15
 
 
 def _random_intent(kind, rng, state):

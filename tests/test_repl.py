@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ccr.protocol import SiteState
@@ -120,6 +122,17 @@ class TestEval:
         s.local_update(("incr", 1))
         out, _ = evl(s, "peers")
         assert "site 2" in out and "received 0" in out
+
+    def test_stats_one_json_line(self):
+        s = SiteState(0, replica_type("counter"))
+        assert parse_line("counter", "stats") == ReplCommand("stats")
+        with pytest.raises(ReplError):
+            parse_line("counter", "stats now")
+        s.connect_peer(1)
+        s.request_resync(1)
+        out, msgs = evl(s, "stats")
+        assert json.loads(out) == {"resync_reqs": 1, "fulls_served": 0, "stale_dropped": 0}
+        assert "\n" not in out and msgs == []
 
     def test_history_empty(self):
         s = SiteState(0, replica_type("counter"))
