@@ -4,11 +4,13 @@ Framing is newline-delimited JSON (see wire).  Each connection starts with a
 Hello exchange; the dialer follows up with a resync request so a freshly
 (re)started process pulls the survivor's history immediately.  After that a
 connection's frames are read in batches: one read takes whatever the socket
-holds, every complete line in it is integrated in order, and only then do
-the replies go out, with the increments to one peer that continue each other
-coalesced into one frame (``protocol.coalesce``).  All site mutations happen
-on the event loop, between awaits, so the engine needs no locks.  Exit
-codes: 0 clean quit, 2 configuration error, 3 protocol fault.
+holds, and every complete line in it is decoded.  Increments that continue
+each other are one longer piece of the peer's stream, so each run of them is
+merged (``protocol.coalesce``) and integrated with one call.  Only then do
+the replies go out, the increments to each peer coalesced the same way.
+All site mutations happen on the event loop, between awaits, so the engine
+needs no locks.  Exit codes: 0 clean quit, 2 configuration error, 3
+protocol fault.
 """
 
 from __future__ import annotations
@@ -217,19 +219,28 @@ class Agent:
         log.info("site %d disconnected", peer)
 
     async def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
-        """Integrate complete frames in order, then send their replies.  A
-        bad frame still lets the replies of the frames before it go out
-        before it drops the link; a fault sends nothing."""
-        out: List[Tuple[int, Message]] = []
+        """Decode complete frames up to the first bad one, integrate them in
+        order, each run of contiguous increments as one, then send their
+        replies.  A bad frame still lets the replies of the frames before
+        it go out before it drops the link; a fault sends nothing."""
+        msgs: List[Tuple[int, Message]] = []
+        bad: Optional[CcrError] = None
         try:
             for frame in frames:
                 if len(frame) > FRAME_LIMIT:
                     raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes")
-                out += self.state.handle_message(peer, decode_message(self.rt, frame))
-        except (WireError, ProtocolError):
-            await self._send(out)
-            raise
+                msgs.append((peer, decode_message(self.rt, frame)))
+        except (WireError, ProtocolError) as e:
+            bad = e
+        out: List[Tuple[int, Message]] = []
+        try:
+            for _, msg in coalesce(msgs):
+                out += self.state.handle_message(peer, msg)
+        except ProtocolError as e:
+            bad = e
         await self._send(out)
+        if bad is not None:
+            raise bad
 
     async def _send(self, pairs: List[Tuple[int, Message]]) -> None:
         """Write every message, contiguous increments to a peer as one, then

@@ -21,9 +21,9 @@ asks for the peer's full history, which integrates harmlessly (everything
 known cancels).  At most one request is in flight per peer: pieces broken
 while it is pending are dropped, and if any of them reached past what the
 answering ``Full`` brought, one more request follows that ``Full``.
-Because a piece is defined by its position alone, increments to one peer
-that continue each other can be sent as one (``coalesce``), and the peer
-integrates them exactly as it would the pieces one by one.
+Because a piece is defined by its position alone, increments of one stream
+that continue each other can be sent and integrated as one (``coalesce``),
+reaching the same state as the pieces one by one.
 
 Transforming the peer's whole cumulative patch against the whole local
 history on every receipt would cost |M|x|H| per message.  The cursor
@@ -149,9 +149,10 @@ def _novel_tail(cur: PeerCursor, start: int, ops: Patch) -> Optional[Patch]:
 
 def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
     """Merge each ``Increment`` into the previous message to the same peer
-    when that is an ``Increment`` the new one continues (its ``prefix_len``
-    is where the previous one ends).  Every other message keeps its order;
-    messages to different peers are independent streams."""
+    when that is an ``Increment`` of the same kind that the new one
+    continues (its ``prefix_len`` is where the previous one ends).  Every
+    other message keeps its order; messages to different peers are
+    independent streams."""
     merged: List[Tuple[int, Message, Optional[List[Operation]]]] = []
     tail: Dict[int, int] = {}  # peer -> index of its last message, an Increment
     for peer, msg in pairs:
@@ -159,7 +160,7 @@ def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
         if isinstance(msg, Increment):
             if i is not None:
                 first, ops = merged[i][1], merged[i][2]
-                if msg.prefix_len == first.prefix_len + len(ops):
+                if msg.kind == first.kind and msg.prefix_len == first.prefix_len + len(ops):
                     ops.extend(msg.ops)
                     tail[peer] = i
                     continue

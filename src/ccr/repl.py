@@ -17,8 +17,6 @@ from .core import CcrError, IntentError
 from .protocol import Message, SiteState
 from .replicas import state_digest
 
-CONTROL_VERBS = ("connect", "disconnect", "peers", "show", "history", "quit", "sync")
-
 POST_SLOTS = {"write": (0, "write"), "comment": (1, "add"),
               "like": (2, "incr"), "dislike": (3, "incr")}
 

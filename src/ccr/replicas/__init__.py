@@ -83,6 +83,3 @@ def state_digest(rt: ReplicaType, state) -> str:
     """Canonical rendering of a state: equal digests mean equal observable
     states (sets sorted, map keys sorted)."""
     return rt.digest(state)
-
-
-KNOWN_KINDS = ("counter", "addmult", "lww", "eset", "queue", "text", "socialmedia")

@@ -19,24 +19,30 @@ AGENT_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
-def count_applies(monkeypatch):
-    """Count every call to ``apply`` on the replica classes, composites and
-    their components included; returns a one-item list holding the count."""
+def count_calls(monkeypatch, cls, name):
+    """Count every call to method ``name`` on ``cls`` and on each subclass
+    that defines its own; returns a one-item list holding the count."""
     calls = [0]
-    todo = [ReplicaType]
+    todo = [cls]
     while todo:
-        cls = todo.pop()
-        todo.extend(cls.__subclasses__())
-        real = vars(cls).get("apply")
+        c = todo.pop()
+        todo.extend(c.__subclasses__())
+        real = vars(c).get(name)
         if real is None:
             continue
 
-        def counting(self, state, op, _real=real):
+        def counting(*args, _real=real, **kwargs):
             calls[0] += 1
-            return _real(self, state, op)
+            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "apply", counting)
+        monkeypatch.setattr(c, name, counting)
     return calls
+
+
+def count_applies(monkeypatch):
+    """Count every call to ``apply`` on the replica classes, composites and
+    their components included; returns a one-item list holding the count."""
+    return count_calls(monkeypatch, ReplicaType, "apply")
 
 
 class BrokenTieText(TextType):

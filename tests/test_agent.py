@@ -10,10 +10,10 @@ import pytest
 import ccr.agent as agent_mod
 from ccr.agent import Agent, AgentConfig, parse_addr
 from ccr.core import OpId
-from ccr.protocol import Hello, Increment
+from ccr.protocol import Full, Hello, Increment, ResyncReq, SiteState
 from ccr.replicas import replica_type
 from ccr.wire import decode_message, encode_message
-from support import AGENT, AGENT_ENV
+from support import AGENT, AGENT_ENV, count_calls
 
 
 def free_port():
@@ -63,12 +63,13 @@ class RawPeer:
         assert isinstance(decode_message(self.rt, await self.reader.readline()), Hello)
         return self
 
-    def frames_of(self, bodies):
-        """One single-op Increment frame per body, in stream order."""
+    def frames_of(self, bodies, start=0):
+        """One single-op Increment frame per body, in stream order from
+        position ``start``."""
         return b"".join(
             encode_message(self.rt, Increment(self.rt.name, self.site, i,
                                               (self.rt.op(OpId(self.site, i + 1), *body),)))
-            for i, body in enumerate(bodies))
+            for i, body in enumerate(bodies, start))
 
     async def read_until(self, n, timeout=5.0):
         """Read frames until ``n`` op uids have come back."""
@@ -329,6 +330,81 @@ class TestBatchedFrames:
                 await a._shutdown()
 
         asyncio.run(flow())
+
+    def test_flood_in_one_write_is_integrated_per_read(self, monkeypatch):
+        n = 200
+
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                calls = count_calls(monkeypatch, SiteState, "handle_message")
+                x.writer.write(x.frames_of([("Incr", 1)] * n))
+                await x.read_until(n)
+                assert calls[0] <= 5
+                assert x.seen == [OpId(1, i + 1) for i in range(n)]
+                assert a.state.digest() == str(n)
+                x.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+
+    def test_gap_inside_a_read_resyncs_once(self):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                # ops 1-3, then ops 6-7 with 4-5 missing, in one write
+                x.writer.write(x.frames_of([("Incr", 1)] * 3)
+                               + x.frames_of([("Incr", 1)] * 2, start=5))
+                echo = decode_message(x.rt, await x.reader.readline())
+                assert [op.uid for op in echo.ops] == [OpId(1, i) for i in (1, 2, 3)]
+                assert isinstance(decode_message(x.rt, await x.reader.readline()), ResyncReq)
+                assert a.state.digest() == "3" and a.state.stats.resync_reqs == 1
+                history = tuple(x.rt.op(OpId(1, i), "Incr", 1) for i in range(1, 8))
+                x.writer.write(encode_message(x.rt, Full(sender=1, ops=history)))
+                await x.read_until(4)
+                assert x.seen == [OpId(1, i) for i in (4, 5, 6, 7)]
+                assert a.state.digest() == "7"
+                assert a.state.stats.resync_reqs == 1
+                assert not a.state.peers[1].resync_pending
+                x.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+
+    def test_kind_change_inside_a_read_drops_the_link(self, caplog):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                y = await RawPeer("counter", 2).connect(pa)
+                await wait_for(lambda: 2 in a.links)
+                op = x.rt.op(OpId(1, 2), "Incr", 1)
+                other = encode_message(x.rt, Increment("text", 1, 1, (op,)))
+                x.writer.write(x.frames_of([("Incr", 1)]) + other)
+                await x.read_until(1)
+                assert x.seen == [OpId(1, 1)]
+                await wait_for(lambda: 1 not in a.links)
+                assert a.state.digest() == "1"
+                assert a.exit_code == 0 and 2 in a.links
+                x.writer.close()
+                y.writer.close()
+            finally:
+                await a._shutdown()
+
+        with caplog.at_level(logging.WARNING, logger="ccr.agent"):
+            asyncio.run(flow())
+        assert any("dropping site 1" in r.getMessage() and "kind mismatch" in r.getMessage()
+                   for r in caplog.records)
 
     def test_split_frames_decode(self):
         async def flow():

@@ -16,6 +16,7 @@ from ccr.protocol import (
     coalesce,
     quiescent,
 )
+from ccr.sim import random_intent
 from support import count_applies
 
 
@@ -433,6 +434,50 @@ class TestCoalesce:
         assert at_once.handle_message(0, whole) == coalesce(echoes)
         assert at_once.history == one_by_one.history
         assert at_once.current == one_by_one.current == 15
+
+    def test_kinds_stay_split(self):
+        other = Increment(kind="text", sender=0, prefix_len=1, ops=self.inc(1, 2).ops)
+        pairs = [(1, self.inc(0, 1)), (1, other), (1, self.inc(2, 3))]
+        assert coalesce(pairs) == pairs
+
+    @pytest.mark.parametrize("kind", ["counter", "text", "lww", "queue", "socialmedia"])
+    def test_run_against_concurrent_ops_integrates_like_its_pieces(self, kind):
+        """A receiver holding concurrent local ops (a non-empty remainder)
+        and a third peer ends in the same state from the merged run as from
+        its pieces, and its replies are the pieces' replies coalesced."""
+        rt = replica_type(kind)
+        rng = random.Random(f"run-{kind}")
+        a = SiteState(0, rt)
+        a.connect_peer(1)
+        pieces = []
+        while len(pieces) < 8:
+            intent = random_intent(rt, rng, a.current)
+            pieces += a.local_update(intent) if intent is not None else []
+
+        def receiver():
+            b = SiteState(1, rt)
+            b.connect_peer(0)
+            b.connect_peer(2)
+            r = random.Random(f"concurrent-{kind}")
+            while len(b.history) < 5:
+                intent = random_intent(rt, r, b.current)
+                if intent is not None:
+                    b.local_update(intent)
+            return b
+
+        one_by_one, at_once = receiver(), receiver()
+        assert all(cur.remainder for cur in one_by_one.peers.values())
+        replies = [m for _, inc in pieces for m in one_by_one.handle_message(0, inc)]
+        [(_, run)] = coalesce(pieces)
+        assert at_once.handle_message(0, run) == coalesce(replies)
+        assert at_once.history == one_by_one.history
+        assert at_once.current == one_by_one.current
+        for peer, cur in one_by_one.peers.items():
+            other = at_once.peers[peer]
+            assert other.remainder == cur.remainder
+            assert other.recv_prefix == cur.recv_prefix
+            assert other.recv_len == cur.recv_len
+        at_once.check_invariants()
 
 
 def _random_intent(kind, rng, state):
