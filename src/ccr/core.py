@@ -35,7 +35,6 @@ Nothing here knows about concrete kinds.  Callers pass a replica type object
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Tuple
 
 
@@ -79,9 +78,12 @@ class WireError(CcrError):
     """A frame that cannot be decoded into a message."""
 
 
-@dataclass(frozen=True, order=True)
-class OpId:
-    """Identity of one logical edit: issuing site and its local sequence no."""
+class OpId(NamedTuple):
+    """Identity of one logical edit: issuing site and its local sequence no.
+
+    A tuple, so hashing, equality and ordering (by site, then seq) run in C
+    on every uid lookup; it also equals the plain tuple ``(site, seq)``.
+    """
 
     site: int
     seq: int
@@ -90,13 +92,26 @@ class OpId:
         return f"({self.site},{self.seq})"
 
 
-@dataclass(frozen=True)
-class Operation:
+def decode_uid(obj: Any) -> OpId:
+    """The uid of a wire object ``{"site": int, "seq": int}``.  Booleans,
+    which JSON gives as ``true``/``false``, are not integers here."""
+    if type(obj) is not dict:
+        raise WireError(f"bad uid: {obj!r}")
+    site = obj.get("site")
+    seq = obj.get("seq")
+    if type(site) is not int or type(seq) is not int:
+        raise WireError(f"bad uid: {obj!r}")
+    return OpId(site, seq)
+
+
+class Operation(NamedTuple):
     """One edit. ``body`` is a kind-specific tuple whose first element is a
     tag string (``("Ins", 2, "ab")``, ``("Incr", 1)``, ...).
 
     The uid identifies the logical edit: cancellation and duplicate checks
-    compare uids only, since transformation may rewrite the body.
+    compare uids only, since transformation may rewrite the body.  A tuple
+    of (uid, kind, body), immutable like every entry of a history, and
+    built, hashed and compared in C.
     """
 
     uid: OpId

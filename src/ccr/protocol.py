@@ -38,14 +38,15 @@ applied to ``current`` at commit, and an op that does not apply faults the
 site there.  ``SiteState(verify=True)`` re-runs the full computation on every
 receipt and asserts both routes agree.
 
-The rest of one receipt's bookkeeping is kept from growing with the
-history.  Appending must refuse an op whose uid the history already holds
-(the overlap check of ``core.compose``); a set of every integrated uid turns
-that check into one lookup per new op.  Each cursor's copy of the peer's
-history grows in place.  ``history`` itself stays an immutable tuple, rebuilt
-on each append, because it is shared as a snapshot: ``Full`` carries it, and
-a message in flight may hold it while this site moves on.  That copy is the
-one cost per op still linear in the history.
+The bookkeeping of one op costs the same at any history length.  Appending
+must refuse an op whose uid the history already holds (the overlap check of
+``core.compose``); a set of every integrated uid turns that check into one
+lookup per new op.  The history is a list that only grows, and every
+per-peer list (the cursor's copy of the peer's history, the remainder) grows
+in place too.  ``history`` is read as a ``HistoryView``: a snapshot of the
+log fixed at its length when taken, which costs O(1) because no entry of the
+log ever changes or goes away.  ``Full`` carries such a view, and a message
+in flight may hold one while this site moves on.
 
 SiteState is a single-threaded state machine: callers must serialize entry
 points (the agent funnels everything through one event loop, the simulator
@@ -55,7 +56,8 @@ is sequential by construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import (
     CcrError,
@@ -109,14 +111,56 @@ class Full:
 Message = Any  # Hello | Increment | ResyncReq | Full
 
 
+class HistoryView:
+    """The first ``n`` ops of an append-only log, as a read-only sequence.
+
+    Valid as long as the log is only ever extended, which ``SiteState``
+    guarantees for its history.  Slices are tuples; a view equals any
+    tuple, list or view holding the same ops.
+    """
+
+    __slots__ = ("_log", "_n")
+
+    def __init__(self, log: List[Operation], n: int):
+        self._log = log
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[Operation]:
+        return islice(self._log, self._n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self._n)
+            if step == 1:
+                return tuple(self._log[start:stop])
+            return tuple(self._log[k] for k in range(start, stop, step))
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("history index out of range")
+        return self._log[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (HistoryView, tuple, list)):
+            return NotImplemented
+        return len(other) == self._n and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"HistoryView({tuple(self)!r})"
+
+
 @dataclass
 class PeerCursor:
     sent_len: int = 0
     recv_len: int = 0
     # The peer's history as far as integrated; extended in place.
     recv_prefix: List[Operation] = field(default_factory=list)
-    # Local history rewritten into the peer's frame (see module docstring).
-    remainder: Patch = ()
+    # Local history rewritten into the peer's frame (see module docstring);
+    # extended in place.
+    remainder: List[Operation] = field(default_factory=list)
     # A ResyncReq is out and its Full has not come back yet.
     resync_pending: bool = False
     # Furthest stream position of a piece dropped while it was out.
@@ -179,13 +223,24 @@ class SiteState:
         self.rt = rt
         self.base = rt.initial()
         self.current = rt.initial()
-        self.history: Patch = ()
+        self._log: List[Operation] = []  # the history; only ever extended
         self.uids: Set[OpId] = set()  # uid of every op in history
         self.next_seq = 1
         self.peers: Dict[int, PeerCursor] = {}
         self.faulted: Optional[str] = None
         self.verify = verify
         self.stats = SiteStats()
+
+    @property
+    def history(self) -> HistoryView:
+        """Every op integrated so far, as a snapshot that later ops leave
+        unchanged."""
+        return HistoryView(self._log, len(self._log))
+
+    @history.setter
+    def history(self, ops: Iterable[Operation]) -> None:
+        # A new log: views taken before keep the old one.
+        self._log = list(ops)
 
     # -- peer management ----------------------------------------------------
 
@@ -197,9 +252,9 @@ class SiteState:
         pending on an old link is forgotten, so the next gap asks again."""
         cur = self.peers.get(peer_site)
         if cur is None:
-            cur = PeerCursor(remainder=self.history)
+            cur = PeerCursor(remainder=list(self._log))
             self.peers[peer_site] = cur
-        cur.sent_len = min(known_len, len(self.history))
+        cur.sent_len = min(known_len, len(self._log))
         cur.resync_pending = False
         cur.resync_hw = 0
 
@@ -215,7 +270,7 @@ class SiteState:
         self._append((op,))
         self.current = self.rt.apply(self.current, op)
         for cur in self.peers.values():
-            cur.remainder = cur.remainder + (op,)
+            cur.remainder.append(op)
         return self._broadcast()
 
     # -- message handling ----------------------------------------------------
@@ -240,8 +295,9 @@ class SiteState:
                 ops = tail
             return self._integrate_suffix(from_site, ops)
         if isinstance(msg, ResyncReq):
-            reply = Full(sender=self.site, ops=self.history)
-            cur.sent_len = len(self.history)
+            n = len(self._log)
+            reply = Full(sender=self.site, ops=HistoryView(self._log, n))
+            cur.sent_len = n
             self.stats.fulls_served += 1
             return [(from_site, reply)]
         if isinstance(msg, Full):
@@ -301,7 +357,7 @@ class SiteState:
                 self._verify_against_direct((*cur.recv_prefix, *suffix), fresh, rem)
             cur.recv_prefix.extend(suffix)
             cur.recv_len = len(cur.recv_prefix)
-            cur.remainder = rem
+            cur.remainder = list(rem)
             return self._commit(from_site, fresh)
         except (ProtocolError, SiteFaulted):
             raise
@@ -312,10 +368,10 @@ class SiteState:
     def _integrate_full(self, from_site: int, ops: Patch) -> List[Tuple[int, Message]]:
         cur = self.peers[from_site]
         try:
-            fresh, rem = transform_patch(self.rt, self.base, ops, self.history)
+            fresh, rem = transform_patch(self.rt, self.base, ops, self._log)
             cur.recv_prefix = list(ops)
             cur.recv_len = len(ops)
-            cur.remainder = rem
+            cur.remainder = list(rem)
             return self._commit(from_site, fresh)
         except (ProtocolError, SiteFaulted):
             raise
@@ -335,7 +391,7 @@ class SiteState:
                 self.next_seq = op.uid.seq + 1
         for peer, cur in self.peers.items():
             if peer != from_site:
-                cur.remainder = cur.remainder + fresh
+                cur.remainder.extend(fresh)
         return self._broadcast()
 
     def _append(self, ops: Patch) -> None:
@@ -344,7 +400,7 @@ class SiteState:
         shared = {op.uid for op in ops if op.uid in self.uids}
         if shared:
             raise ComposeError(f"duplicate uids across composition: {sorted(shared)}")
-        self.history = self.history + ops
+        self._log.extend(ops)
         self.uids.update(op.uid for op in ops)
 
     def _broadcast(self) -> List[Tuple[int, Message]]:
@@ -358,15 +414,16 @@ class SiteState:
     def make_increment(self, peer_site: int) -> Optional[Increment]:
         """Suffix of history the peer has not been sent yet, or None."""
         cur = self.peers[peer_site]
-        if cur.sent_len == len(self.history):
+        n = len(self._log)
+        if cur.sent_len == n:
             return None
         msg = Increment(
             kind=self.rt.name,
             sender=self.site,
             prefix_len=cur.sent_len,
-            ops=self.history[cur.sent_len:],
+            ops=tuple(self._log[cur.sent_len:]),
         )
-        cur.sent_len = len(self.history)
+        cur.sent_len = n
         return msg
 
     # -- invariants and checks -----------------------------------------------
@@ -376,7 +433,7 @@ class SiteState:
             raise SiteFaulted(f"site {self.site} previously faulted: {self.faulted}")
 
     def _verify_against_direct(self, full_patch: Patch, fresh: Patch, rem: Patch) -> None:
-        direct = transform_patch(self.rt, self.base, full_patch, self.history)
+        direct = transform_patch(self.rt, self.base, full_patch, self._log)
         assert direct.left == fresh, (
             f"incremental/direct mismatch (new ops): {direct.left} vs {fresh}"
         )
@@ -385,9 +442,9 @@ class SiteState:
         )
 
     def check_invariants(self) -> None:
-        assert self.current == apply_patch(self.rt, self.base, self.history)
-        assert self.uids == {op.uid for op in self.history}
-        own = [op.uid for op in self.history if op.uid.site == self.site]
+        assert self.current == apply_patch(self.rt, self.base, self._log)
+        assert self.uids == {op.uid for op in self._log}
+        own = [op.uid for op in self._log if op.uid.site == self.site]
         assert all(u.seq < self.next_seq for u in own)
 
     def digest(self) -> str:

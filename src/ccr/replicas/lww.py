@@ -11,7 +11,7 @@ write collapses the set to a singleton again.
 
 from __future__ import annotations
 
-from ..core import ApplyError, IntentError, OpId, WireError
+from ..core import ApplyError, IntentError, WireError, decode_uid
 from .base import ReplicaType
 
 
@@ -59,9 +59,4 @@ class LwwType(ReplicaType):
         keep = obj.get("keep")
         if not isinstance(keep, list):
             raise WireError(f"bad lww keep set: {obj!r}")
-        uids = []
-        for u in keep:
-            if not isinstance(u, dict) or not isinstance(u.get("site"), int) or not isinstance(u.get("seq"), int):
-                raise WireError(f"bad uid in keep set: {u!r}")
-            uids.append(OpId(u["site"], u["seq"]))
-        return ("WriteExcept", obj["s"], frozenset(uids))
+        return ("WriteExcept", obj["s"], frozenset(decode_uid(u) for u in keep))

@@ -12,7 +12,7 @@ consume one element, not two.
 
 from __future__ import annotations
 
-from ..core import ApplyError, IntentError, OpId, WireError
+from ..core import ApplyError, IntentError, WireError, decode_uid
 from .base import ReplicaType
 
 
@@ -82,8 +82,5 @@ class QueueType(ReplicaType):
                 raise WireError(f"bad queue op: {obj!r}")
             return ("EnqAt", obj["k"], obj["x"])
         if tag == "Deq":
-            t = obj.get("target")
-            if not isinstance(t, dict) or not isinstance(t.get("site"), int) or not isinstance(t.get("seq"), int):
-                raise WireError(f"bad queue op: {obj!r}")
-            return ("Deq", OpId(t["site"], t["seq"]))
+            return ("Deq", decode_uid(obj.get("target")))
         raise WireError(f"bad queue op: {obj!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Union
 
-from .core import OpId, Operation, WireError
+from .core import Operation, WireError, decode_uid
 from .protocol import Full, Hello, Increment, Message, ResyncReq
 from .replicas.base import ReplicaType
 
@@ -23,16 +23,7 @@ def encode_op(rt: ReplicaType, op: Operation) -> dict:
 def decode_op(rt: ReplicaType, obj: Any) -> Operation:
     if not isinstance(obj, dict):
         raise WireError(f"operation must be an object: {obj!r}")
-    uid = obj.get("uid")
-    if (
-        not isinstance(uid, dict)
-        or not isinstance(uid.get("site"), int)
-        or not isinstance(uid.get("seq"), int)
-        or isinstance(uid.get("site"), bool)
-        or isinstance(uid.get("seq"), bool)
-    ):
-        raise WireError(f"bad uid: {obj!r}")
-    return Operation(OpId(uid["site"], uid["seq"]), rt.name, rt.decode_body(obj))
+    return Operation(decode_uid(obj.get("uid")), rt.name, rt.decode_body(obj))
 
 
 def encode_message(rt: ReplicaType, msg: Message) -> bytes:

@@ -26,6 +26,23 @@ def incr(site, seq, n):
     return C.op(OpId(site, seq), "Incr", n)
 
 
+class TestOpId:
+    def test_orders_by_site_then_seq(self):
+        uids = [OpId(1, 2), OpId(0, 9), OpId(1, 1), OpId(0, 10)]
+        assert sorted(uids) == [OpId(0, 9), OpId(0, 10), OpId(1, 1), OpId(1, 2)]
+        assert (3, OpId(0, 5)) < (3, OpId(1, 0))
+
+    def test_set_membership_and_hash(self):
+        seen = {OpId(0, 1), OpId(2, 3)}
+        assert OpId(2, 3) in seen and OpId(3, 2) not in seen
+        assert hash(OpId(2, 3)) == hash((2, 3))
+
+    def test_repr(self):
+        assert repr(OpId(1, 2)) == "(1,2)"
+        assert repr(T.op(OpId(0, 3), "Ins", 2, "ab")) == "(0,3) Ins 2 'ab'"
+        assert repr(C.op(OpId(4, 5), "Nop")) == "(4,5) Nop"
+
+
 class TestMonoid:
     def test_empty_patch_is_identity(self):
         assert is_identity(())

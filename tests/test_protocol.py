@@ -1,4 +1,6 @@
 import random
+import statistics
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -7,6 +9,7 @@ from ccr import OpId, replica_type
 from ccr.protocol import (
     Full,
     Hello,
+    HistoryView,
     Increment,
     ProtocolError,
     ResyncReq,
@@ -544,6 +547,92 @@ def test_work_per_op_does_not_grow_with_history(monkeypatch):
     assert 0 < late <= 2 * early
     for s in sites.values():
         s.check_invariants()
+
+
+class TestHistoryView:
+    def test_reads_like_a_tuple(self):
+        s = SiteState(0, replica_type("counter"))
+        assert s.history == () and not s.history
+        for i in range(5):
+            s.local_update(("incr", i + 1))
+        h = s.history
+        t = tuple(h)
+        assert isinstance(h, HistoryView) and len(h) == len(t) == 5
+        assert (h[0], h[4], h[-1], h[-5]) == (t[0], t[4], t[-1], t[-5])
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                h[i]
+        for sl in (slice(1, 3), slice(3, None), slice(None, None, -2), slice(9, None)):
+            assert h[sl] == t[sl] and type(h[sl]) is tuple
+        assert list(h) == list(t)
+        assert h == t and t == h and h == list(t) and list(t) == h and h == s.history
+        assert h != t[:4] and t[:4] != h and h != t + t[:1]
+        assert repr(h) == f"HistoryView({t!r})"
+
+    def test_view_keeps_its_length_as_history_grows(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        drain(sites, outbox(0, a.local_update(("incr", 1))))
+        early = a.history
+        ops = tuple(early)
+        [(_, full)] = a.handle_message(1, ResyncReq())
+        drain(sites, outbox(1, b.local_update(("incr", 2))))
+        drain(sites, outbox(0, a.local_update(("incr", 3))))
+        assert len(a.history) == 3 and a.history[:1] == ops
+        assert len(early) == 1 and early == ops and early[-1] == ops[-1]
+        assert full.ops == ops
+
+
+def _median_alloc_peak(calls):
+    """Median over ``calls`` of the bytes allocated at peak by one call."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    return statistics.median(peaks)
+
+
+@pytest.mark.parametrize("departed_peer", [False, True])
+def test_local_op_copies_no_history(departed_peer):
+    """One local op allocates as much at 8k ops of history as at 1k: neither
+    the history nor the remainder kept for a peer that stopped answering is
+    copied.  (A tuple copy of either costs 8 bytes per op held.)"""
+    s = SiteState(0, replica_type("counter"))
+    if departed_peer:
+        s.connect_peer(1)
+    peak = {}
+    for n in (1000, 8000):
+        while len(s.history) < n:
+            s.local_update(("incr", 1))
+        peak[n] = _median_alloc_peak([lambda: s.local_update(("incr", 1))] * 21)
+    assert peak[8000] < 1.25 * peak[1000], peak
+    if departed_peer:
+        assert len(s.peers[1].remainder) == len(s.history)
+
+
+def test_relayed_op_copies_no_remainder():
+    """An op received from one peer grows the remainder kept for a departed
+    one in place, at the same cost at any length."""
+    rt = replica_type("counter")
+    a, b = SiteState(0, rt), SiteState(1, rt)
+    a.connect_peer(1)
+    b.connect_peer(0)
+    b.connect_peer(2)  # site 2 never answers
+    peak = {}
+    for n in (1000, 8000):
+        while len(b.history) < n - 21:
+            [(_, inc)] = a.local_update(("incr", 1))
+            b.handle_message(0, inc)
+        incs = [a.local_update(("incr", 1))[0][1] for _ in range(21)]
+        peak[n] = _median_alloc_peak([lambda inc=inc: b.handle_message(0, inc) for inc in incs])
+    assert peak[8000] < 1.25 * peak[1000], peak
+    assert len(b.peers[2].remainder) == len(b.history)
 
 
 def test_text_invariants_compare_the_hidden_model():

@@ -171,6 +171,20 @@ class TestRejects:
         self.bad(b'{"v":1,"kind":"counter","sender":0,"prefix_len":0,'
                  b'"ops":[{"uid":{"site":"x","seq":1},"type":"Incr","n":1}]}')
 
+    def test_bool_uid(self):
+        self.bad(b'{"v":1,"kind":"counter","sender":0,"prefix_len":0,'
+                 b'"ops":[{"uid":{"site":true,"seq":1},"type":"Incr","n":1}]}')
+
+    def test_bool_uid_in_lww_keep_set(self):
+        self.bad(b'{"v":1,"kind":"lww","sender":0,"prefix_len":0,'
+                 b'"ops":[{"uid":{"site":0,"seq":1},"type":"WriteExcept","s":"a",'
+                 b'"keep":[{"site":true,"seq":1}]}]}', replica_type("lww"))
+
+    def test_bool_uid_as_deq_target(self):
+        self.bad(b'{"v":1,"kind":"queue","sender":0,"prefix_len":0,'
+                 b'"ops":[{"uid":{"site":0,"seq":1},"type":"Deq",'
+                 b'"target":{"site":1,"seq":false}}]}', replica_type("queue"))
+
     def test_bad_body(self):
         self.bad(b'{"v":1,"kind":"counter","sender":0,"prefix_len":0,'
                  b'"ops":[{"uid":{"site":0,"seq":1},"type":"Frob","n":1}]}')
