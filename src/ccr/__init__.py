@@ -20,7 +20,7 @@ from .core import (
     is_identity,
     transform_patch,
 )
-from .replicas import replica_type, state_digest
+from .replicas import replica_type
 
 __all__ = [
     "ApplyError",
@@ -39,5 +39,4 @@ __all__ = [
     "is_identity",
     "transform_patch",
     "replica_type",
-    "state_digest",
 ]

@@ -39,6 +39,8 @@ log = logging.getLogger("ccr.agent")
 FRAME_LIMIT = 16 * 1024 * 1024
 # Most bytes taken from a socket in one read; a batch is whatever it held.
 READ_CHUNK = 64 * 1024
+SYNC_TIMEOUT = 10.0  # seconds a bare ``sync`` waits for its barrier
+QUIET_WINDOW = 0.2  # seconds without traffic after which ``sync`` sees quiet
 
 
 @dataclass
@@ -48,8 +50,6 @@ class AgentConfig:
     listen: Addr
     connect: Tuple[Addr, ...] = ()
     script: Optional[str] = None
-    sync_default: float = 10.0
-    quiet_window: float = 0.2
 
 
 @dataclass
@@ -306,7 +306,7 @@ class Agent:
             if cmd.verb == "disconnect":
                 return self._disconnect(cmd.args)
             if cmd.verb == "sync":
-                timeout = cmd.args[0] if cmd.args[0] is not None else self.cfg.sync_default
+                timeout = cmd.args[0] if cmd.args[0] is not None else SYNC_TIMEOUT
                 if not await self._sync(timeout):
                     print("sync timed out", flush=True)
                     if self.cfg.script is not None:
@@ -346,7 +346,7 @@ class Agent:
             unsent = any(cur.sent_len < len(self.state.history)
                          for peer, cur in self.state.peers.items()
                          if peer in self.links)
-            quiet = loop.time() - self._last_traffic >= self.cfg.quiet_window
+            quiet = loop.time() - self._last_traffic >= QUIET_WINDOW
             if not unsent and quiet:
                 return True
             if loop.time() >= deadline:

@@ -291,9 +291,9 @@ class SiteState:
             if msg.prefix_len != cur.recv_len:  # in order is the common case
                 tail = _novel_tail(cur, msg.prefix_len, ops)
                 if tail is None:
-                    return self._request_resync(from_site, msg.prefix_len + len(ops))
+                    return self.request_resync(from_site, msg.prefix_len + len(ops))
                 ops = tail
-            return self._integrate_suffix(from_site, ops)
+            return self._integrate(from_site, ops)
         if isinstance(msg, ResyncReq):
             n = len(self._log)
             reply = Full(sender=self.site, ops=HistoryView(self._log, n))
@@ -304,33 +304,26 @@ class SiteState:
             ops = tuple(msg.ops)
             cur.resync_pending = False
             tail = _novel_tail(cur, 0, ops)
-            if tail is None:
-                out = self._integrate_full(from_site, ops)
-            else:
-                out = self._integrate_suffix(from_site, tail)
+            out = self._integrate(from_site, ops if tail is None else tail, restart=tail is None)
             if cur.resync_hw > cur.recv_len:
                 # A piece dropped while the request was out may have been
                 # sent after the peer cut this Full.
-                out += self._request_resync(from_site, cur.resync_hw)
+                out += self.request_resync(from_site, cur.resync_hw)
             cur.resync_hw = 0
             return out
         raise ProtocolError(f"unknown message {msg!r}")
 
-    def request_resync(self, peer: int) -> List[Tuple[int, Message]]:
-        """Ask the peer for its full history (as a dialer does), counted and
-        marked pending like any other request."""
-        return self._request_resync(peer, 0)
-
-    def _request_resync(self, from_site: int, end: int) -> List[Tuple[int, Message]]:
-        """The peer's stream broke at a piece reaching position ``end``: ask
-        for its full history unless a request is already out."""
-        cur = self.peers[from_site]
+    def request_resync(self, peer: int, end: int = 0) -> List[Tuple[int, Message]]:
+        """Ask the peer for its full history unless a request is already
+        out.  A dialer asks with ``end`` 0; a broken stream asks with
+        ``end`` the position its offending piece reached."""
+        cur = self.peers[peer]
         if cur.resync_pending:
             cur.resync_hw = max(cur.resync_hw, end)
             return []
         cur.resync_pending = True
         self.stats.resync_reqs += 1
-        return [(from_site, ResyncReq())]
+        return [(peer, ResyncReq())]
 
     def _handle_hello(self, msg: Hello) -> List[Tuple[int, Message]]:
         if msg.site == self.site:
@@ -344,33 +337,24 @@ class SiteState:
 
     # -- integration core ----------------------------------------------------
 
-    def _integrate_suffix(self, from_site: int, suffix: Patch) -> List[Tuple[int, Message]]:
-        if not suffix:
+    def _integrate(self, from_site: int, ops: Patch, restart: bool = False) -> List[Tuple[int, Message]]:
+        """Integrate the ops of the peer's stream past the cursor, or with
+        ``restart`` the peer's whole history in place of what the cursor
+        holds (it no longer continues that)."""
+        if not ops:
             self.stats.stale_dropped += 1
             return []
         cur = self.peers[from_site]
         try:
-            # The suffix applies in the peer's frame, which is never built:
-            # the sweep needs no state.
-            fresh, rem = transform_patch(self.rt, None, suffix, cur.remainder)
-            if self.verify:
-                self._verify_against_direct((*cur.recv_prefix, *suffix), fresh, rem)
-            cur.recv_prefix.extend(suffix)
+            # The ops apply in the peer's frame, which is never built: the
+            # sweep needs no state.
+            fresh, rem = transform_patch(self.rt, None, ops, self._log if restart else cur.remainder)
+            if restart:
+                cur.recv_prefix = []
+            elif self.verify:
+                self._verify_against_direct((*cur.recv_prefix, *ops), fresh, rem)
+            cur.recv_prefix.extend(ops)
             cur.recv_len = len(cur.recv_prefix)
-            cur.remainder = list(rem)
-            return self._commit(from_site, fresh)
-        except (ProtocolError, SiteFaulted):
-            raise
-        except CcrError as e:
-            self.faulted = str(e)
-            raise SiteFaulted(f"site {self.site} faulted during integration: {e}") from e
-
-    def _integrate_full(self, from_site: int, ops: Patch) -> List[Tuple[int, Message]]:
-        cur = self.peers[from_site]
-        try:
-            fresh, rem = transform_patch(self.rt, self.base, ops, self._log)
-            cur.recv_prefix = list(ops)
-            cur.recv_len = len(ops)
             cur.remainder = list(rem)
             return self._commit(from_site, fresh)
         except (ProtocolError, SiteFaulted):

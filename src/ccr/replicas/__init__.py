@@ -3,7 +3,8 @@
 Kinds are named structurally: the six scalars by bare name, composites as
 ``tuple<a,b,...>`` and ``map<a>``.  ``socialpost`` and ``socialmedia`` are
 accepted as shorthand and normalize to their structural forms, so two agents
-configured either way agree on the canonical kind string.
+configured either way agree on the canonical kind string.  The post shape
+resolves to ``SocialPostType``, which only adds the post vocabulary.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from ..core import IntentError
 from .addmult import AddMultType
 from .base import ReplicaType
-from .composite import MapType, TupleType
+from .composite import POST_SHAPE, MapType, SocialPostType, TupleType
 from .counter import CounterType
 from .eset import ESetType
 from .lww import LwwType
@@ -28,8 +29,8 @@ TEXT = TextType()
 _SCALARS = {t.name: t for t in (COUNTER, ADDMULT, LWW, ESET, QUEUE, TEXT)}
 
 _ALIASES = {
-    "socialpost": "tuple<lww,eset,counter,counter>",
-    "socialmedia": "map<tuple<lww,eset,counter,counter>>",
+    "socialpost": POST_SHAPE,
+    "socialmedia": f"map<{POST_SHAPE}>",
 }
 
 
@@ -53,7 +54,10 @@ def _parse(s: str):
             if rest.startswith(">"):
                 if not comps:
                     raise IntentError("empty tuple kind")
-                return TupleType(tuple(comps)), rest[1:]
+                rt = TupleType(tuple(comps))
+                if rt.name == POST_SHAPE:
+                    rt = SocialPostType(rt.components)
+                return rt, rest[1:]
             if comps:
                 if not rest.startswith(","):
                     raise IntentError(f"bad kind syntax near {rest!r}")
@@ -73,13 +77,3 @@ def _parse(s: str):
             rt, _ = _parse(expansion)
             return rt, s[len(alias):]
     raise IntentError(f"unknown replica kind near {s!r}")
-
-
-SOCIALPOST = replica_type("socialpost")
-SOCIALMEDIA = replica_type("socialmedia")
-
-
-def state_digest(rt: ReplicaType, state) -> str:
-    """Canonical rendering of a state: equal digests mean equal observable
-    states (sets sorted, map keys sorted)."""
-    return rt.digest(state)

@@ -13,6 +13,7 @@ from .base import ReplicaType
 
 class AddMultType(ReplicaType):
     name = "addmult"
+    verbs = {"add": ("amount",), "mult": ("amount",)}
 
     def initial(self):
         return 0
@@ -36,7 +37,7 @@ class AddMultType(ReplicaType):
 
     def gen_effective(self, state, intent, uid):
         verb, n = intent
-        if verb not in ("add", "mult"):
+        if verb not in self.verbs:
             raise IntentError(f"addmult has no intent {verb!r}")
         if not isinstance(n, int):
             raise IntentError("addmult amount must be an integer")
@@ -47,6 +48,11 @@ class AddMultType(ReplicaType):
         if n == 1:
             return None
         return self.op(uid, "Mult", n)
+
+    def draw_intent(self, rng, state):
+        if rng.random() < 2 / 3:
+            return ("add", rng.choice((-1, 1)) * rng.randint(1, 9))
+        return ("mult", rng.randint(2, 5))
 
     def digest_value(self, state):
         return state

@@ -2,20 +2,47 @@
 
 A replica type bundles everything kind-specific: the initial state, operation
 application, the primitive transform used by the sweep in ``ccr.core``,
-intent-to-operation generation, canonical digests, and wire codecs for
-operation bodies.  Instances are stateless singletons.
+intent-to-operation generation, the command grammar and the random intents
+that name those intents, canonical digests, and wire codecs for operation
+bodies.  Instances are stateless singletons.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Tuple
+import random
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core import Operation, OpId, Patch
+from ..core import IntentError, Operation, OpId, Patch
+
+ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# Command arguments read as integers; every other argument is a string.
+_INT_ARGS = frozenset({"amount", "position", "length"})
+
+
+def arity(verb: str, args: Sequence[str], n: int) -> None:
+    if len(args) != n:
+        raise IntentError(f"{verb} takes {n} argument{'s' if n != 1 else ''}, got {len(args)}")
+
+
+def int_arg(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise IntentError(f"{what} must be an integer, got {token!r}") from None
+
+
+def random_word(rng: random.Random) -> str:
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 3)))
 
 
 class ReplicaType:
     name: str = "?"
+    # The command grammar: verb -> the names of its arguments.  Each command
+    # ``verb ARG...`` is the intent ``(verb, ARG...)``.
+    verbs: Dict[str, Tuple[str, ...]] = {}
+    # A second name that a map of this kind takes for ``upd KEY <cmd>``.
+    map_verb = "upd"
 
     def initial(self) -> Any:
         raise NotImplementedError
@@ -36,6 +63,20 @@ class ReplicaType:
     def gen_effective(self, state: Any, intent: Tuple[Any, ...], uid: OpId) -> Optional[Operation]:
         """Turn a user intent into an operation, or None when the intent has
         no effect on ``state``.  Malformed intents raise IntentError."""
+        raise NotImplementedError
+
+    def parse_intent(self, verb: str, args: List[str]) -> Optional[Tuple[Any, ...]]:
+        """The intent a command names, or None when ``verb`` is not one of
+        this kind's.  Raises IntentError on bad arguments."""
+        names = self.verbs.get(verb)
+        if names is None:
+            return None
+        arity(verb, args, len(names))
+        return (verb, *(int_arg(a, n) if n in _INT_ARGS else a for n, a in zip(names, args)))
+
+    def draw_intent(self, rng: random.Random, state: Any) -> Tuple[Any, ...]:
+        """A random intent for ``state``, which may turn out ineffective or
+        malformed; ``ccr.sim.random_intent`` draws again then."""
         raise NotImplementedError
 
     def digest_value(self, state: Any) -> Any:

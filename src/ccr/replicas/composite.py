@@ -7,6 +7,12 @@ different slots or keys commute untouched; ops on the same slot or key are
 transformed by the component (for maps, via the full sweep, since an Upd
 carries a whole inner patch).
 
+Commands and random intents recurse the same way: ``at I <cmd>`` and
+``upd KEY <cmd>`` wrap a command of the component.  The social-media post
+shape, ``tuple<lww,eset,counter,counter>``, is a plain tuple in name, ops
+and wire encoding with its own vocabulary: ``write S``, ``comment S``,
+``like`` and ``dislike``, and ``post KEY <action>`` in a map of posts.
+
 Inner operations are stored as bare bodies.  They are the same logical edit
 as their wrapper, so they share its uid; full inner Operations are
 synthesized on demand when recursing.
@@ -17,7 +23,20 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..core import ApplyError, IntentError, Operation, WireError, transform_patch
-from .base import ReplicaType
+from .base import ReplicaType, arity, int_arg
+
+POST_SHAPE = "tuple<lww,eset,counter,counter>"
+# In slot order: post action -> the intent it names on its slot.
+_POST_ACTIONS = (("write", "write"), ("comment", "add"), ("like", "incr"), ("dislike", "incr"))
+_COMMENTS = tuple(f"c{i}" for i in range(12))
+
+
+def _command(rt: ReplicaType, tokens):
+    """The intent of the command ``tokens`` for a component of kind ``rt``."""
+    intent = rt.parse_intent(tokens[0], tokens[1:])
+    if intent is None:
+        raise IntentError(f"unknown command {tokens[0]!r} for {rt.name}")
+    return intent
 
 
 class TupleType(ReplicaType):
@@ -63,6 +82,20 @@ class TupleType(ReplicaType):
             return None
         return self.op(uid, "At", i, inner.body)
 
+    def parse_intent(self, verb, args):
+        if verb != "at":
+            return None
+        if len(args) < 2:
+            raise IntentError("at takes INDEX and a command")
+        i = int_arg(args[0], "index")
+        if not (0 <= i < len(self.components)):
+            raise IntentError(f"tuple index {i} out of range 0..{len(self.components) - 1}")
+        return ("at", i, _command(self.components[i], args[1:]))
+
+    def draw_intent(self, rng, state):
+        i = rng.randrange(len(self.components))
+        return ("at", i, self.components[i].draw_intent(rng, state[i]))
+
     def digest_value(self, state):
         return [c.digest_value(s) for c, s in zip(self.components, state)]
 
@@ -79,6 +112,25 @@ class TupleType(ReplicaType):
         if not isinstance(obj.get("op"), dict):
             raise WireError(f"bad tuple op: {obj!r}")
         return ("At", i, self.components[i].decode_body(obj["op"]))
+
+
+class SocialPostType(TupleType):
+    map_verb = "post"
+
+    def parse_intent(self, verb, args):
+        for i, (action, inner) in enumerate(_POST_ACTIONS):
+            if verb == action:
+                if inner == "incr":
+                    arity(verb, args, 0)
+                    return ("at", i, ("incr", 1))
+                arity(verb, args, 1)
+                return ("at", i, (inner, args[0]))
+        return super().parse_intent(verb, args)
+
+    def draw_intent(self, rng, state):
+        i = int(rng.random() * len(_POST_ACTIONS))  # each action alike
+        inner = _POST_ACTIONS[i][1]
+        return ("at", i, ("incr", 1) if inner == "incr" else (inner, rng.choice(_COMMENTS)))
 
 
 class MapType(ReplicaType):
@@ -127,6 +179,18 @@ class MapType(ReplicaType):
         if inner is None:
             return None
         return self.op(uid, "Upd", key, (inner.body,))
+
+    def parse_intent(self, verb, args):
+        if verb not in ("upd", self.component.map_verb):
+            return None
+        if len(args) < 2:
+            raise IntentError(f"{verb} takes KEY and a command")
+        return ("upd", args[0], _command(self.component, args[1:]))
+
+    def draw_intent(self, rng, state):
+        key = rng.choice(("p1", "p2", "p3"))
+        entry = state[key] if key in state else self.component.initial()
+        return ("upd", key, self.component.draw_intent(rng, entry))
 
     def digest_value(self, state):
         return {k: self.component.digest_value(v) for k, v in state.items()}

@@ -12,6 +12,7 @@ _MAX = 2**63 - 1
 
 class CounterType(ReplicaType):
     name = "counter"
+    verbs = {"incr": ("amount",), "decr": ("amount",)}
 
     def initial(self):
         return 0
@@ -33,13 +34,16 @@ class CounterType(ReplicaType):
 
     def gen_effective(self, state, intent, uid):
         verb, n = intent
-        if verb not in ("incr", "decr"):
+        if verb not in self.verbs:
             raise IntentError(f"counter has no intent {verb!r}")
         if not isinstance(n, int):
             raise IntentError("counter amount must be an integer")
         if n == 0:
             return None
         return self.op(uid, "Incr" if verb == "incr" else "Decr", n)
+
+    def draw_intent(self, rng, state):
+        return (rng.choice(("incr", "decr")), rng.randint(1, 9))
 
     def digest_value(self, state):
         return state

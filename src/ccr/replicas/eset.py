@@ -16,6 +16,7 @@ from .base import ReplicaType
 
 class ESetType(ReplicaType):
     name = "eset"
+    verbs = {"add": ("element",), "rem": ("element",)}
 
     def initial(self):
         return frozenset()
@@ -41,13 +42,17 @@ class ESetType(ReplicaType):
 
     def gen_effective(self, state, intent, uid):
         verb, x = intent
-        if verb not in ("add", "rem"):
+        if verb not in self.verbs:
             raise IntentError(f"eset has no intent {verb!r}")
         if not isinstance(x, str):
             raise IntentError("eset element must be a string")
         if verb == "add":
             return None if x in state else self.op(uid, "Add", x)
         return self.op(uid, "Rem", x) if x in state else None
+
+    def draw_intent(self, rng, state):
+        x = rng.choice("abcdefgh")
+        return ("add" if x not in state else "rem", x)
 
     def digest_value(self, state):
         return sorted(state)

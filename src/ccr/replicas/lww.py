@@ -12,11 +12,12 @@ write collapses the set to a singleton again.
 from __future__ import annotations
 
 from ..core import ApplyError, IntentError, WireError, decode_uid
-from .base import ReplicaType
+from .base import ReplicaType, random_word
 
 
 class LwwType(ReplicaType):
     name = "lww"
+    verbs = {"write": ("text",)}
 
     def initial(self):
         return frozenset()
@@ -36,11 +37,14 @@ class LwwType(ReplicaType):
 
     def gen_effective(self, state, intent, uid):
         verb, s = intent
-        if verb != "write":
+        if verb not in self.verbs:
             raise IntentError(f"lww has no intent {verb!r}")
         if not isinstance(s, str):
             raise IntentError("lww payload must be a string")
         return self.op(uid, "WriteExcept", s, frozenset())
+
+    def draw_intent(self, rng, state):
+        return ("write", random_word(rng))
 
     def digest_value(self, state):
         return sorted({s for (_, s) in state})

@@ -13,11 +13,12 @@ consume one element, not two.
 from __future__ import annotations
 
 from ..core import ApplyError, IntentError, WireError, decode_uid
-from .base import ReplicaType
+from .base import ALPHABET, ReplicaType
 
 
 class QueueType(ReplicaType):
     name = "queue"
+    verbs = {"enq": ("item",), "deq": ()}
 
     def initial(self):
         return ((), frozenset())
@@ -64,6 +65,11 @@ class QueueType(ReplicaType):
                     return self.op(uid, "Deq", entry_uid)
             return None
         raise IntentError(f"queue has no intent {verb!r}")
+
+    def draw_intent(self, rng, state):
+        if rng.random() < 2 / 3:
+            return ("enq", rng.choice(ALPHABET))
+        return ("deq",)
 
     def digest_value(self, state):
         enq, deq = state

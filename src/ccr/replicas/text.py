@@ -43,7 +43,7 @@ from __future__ import annotations
 from itertools import compress
 
 from ..core import ApplyError, IntentError, WireError
-from .base import ReplicaType
+from .base import ReplicaType, random_word
 
 VISIBLE, HIDDEN = b"\x01", b"\x00"
 
@@ -121,6 +121,7 @@ def _model_index(mask: bytes, j: int) -> int:
 
 class TextType(ReplicaType):
     name = "text"
+    verbs = {"ins": ("position", "text"), "del": ("position", "length")}
 
     def initial(self):
         return TextState("", b"")
@@ -204,6 +205,13 @@ class TextType(ReplicaType):
             start = _model_index(mask, k)
             return self.op(uid, "Del", start, _model_index(mask, k + n - 1) + 1 - start)
         raise IntentError(f"text has no intent {verb!r}")
+
+    def draw_intent(self, rng, state):
+        if state and rng.random() < 1 / 3:
+            k = rng.randrange(len(state))
+            return ("del", k, rng.randint(1, min(3, len(state) - k)))
+        s = random_word(rng)  # before the position: the draw order is pinned
+        return ("ins", rng.randint(0, len(state)), s)
 
     def digest_value(self, state):
         return str(state)

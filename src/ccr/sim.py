@@ -2,11 +2,11 @@
 
 A trial wires up real SiteState machines over a logical-time event queue: no
 sockets, no wall clock, every choice drawn from one seeded RNG, so a seed
-reproduces a trial exactly.  Local updates (random effective intents) are
-scheduled across a time horizon; deliveries take a small random delay.
-Without --reorder, deliveries between a pair stay FIFO like a stream socket;
-with it they may overtake.  --duplicate occasionally re-enqueues a delivered
-message once more, later.
+reproduces a trial exactly.  Local updates (random effective intents, drawn
+by the kind's ``draw_intent``) are scheduled across a time horizon;
+deliveries take a small random delay.  Without --reorder, deliveries between
+a pair stay FIFO like a stream socket; with it they may overtake.
+--duplicate occasionally re-enqueues a delivered message once more, later.
 
 A trial converges when the queue drains, every cursor is caught up, and all
 site digests are equal.  Exceeding the event budget is reported as
@@ -24,11 +24,6 @@ from .core import CcrError, IntentError, OpId
 from .protocol import SiteState, SiteStats, quiescent
 from .replicas import replica_type
 from .replicas.base import ReplicaType
-
-ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-ESET_POOL = tuple("abcdefgh")
-MEDIA_KEYS = ("p1", "p2", "p3")
-COMMENT_POOL = tuple(f"c{i}" for i in range(12))
 
 
 @dataclass
@@ -81,57 +76,13 @@ def random_intent(rt: ReplicaType, rng: random.Random, state: Any) -> Optional[T
     """Draw an intent effective on ``state``, or None if none can be found."""
     probe = OpId(-1, 0)
     for _ in range(40):
-        intent = _draw(rt, rng, state)
+        intent = rt.draw_intent(rng, state)
         try:
             if rt.gen_effective(state, intent, probe) is not None:
                 return intent
         except IntentError:
             continue
     return None
-
-
-def _draw(rt: ReplicaType, rng: random.Random, state: Any) -> Tuple[Any, ...]:
-    name = rt.name
-    if name == "counter":
-        return (rng.choice(("incr", "decr")), rng.randint(1, 9))
-    if name == "addmult":
-        if rng.random() < 2 / 3:
-            n = rng.choice((-1, 1)) * rng.randint(1, 9)
-            return ("add", n)
-        return ("mult", rng.randint(2, 5))
-    if name == "lww":
-        return ("write", "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 3))))
-    if name == "eset":
-        x = rng.choice(ESET_POOL)
-        verb = "add" if x not in state else "rem"
-        return (verb, x)
-    if name == "queue":
-        if rng.random() < 2 / 3:
-            return ("enq", rng.choice(ALPHABET))
-        return ("deq",)
-    if name == "text":
-        if state and rng.random() < 1 / 3:
-            k = rng.randrange(len(state))
-            n = rng.randint(1, min(3, len(state) - k))
-            return ("del", k, n)
-        s = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 3)))
-        return ("ins", rng.randint(0, len(state)), s)
-    if name.startswith("map<tuple<lww,eset"):
-        return ("upd", rng.choice(MEDIA_KEYS), _draw_post(rng))
-    if name.startswith("tuple<lww,eset"):
-        return _draw_post(rng)
-    raise ValueError(f"no intent generator for kind {name!r}")
-
-
-def _draw_post(rng: random.Random) -> Tuple[Any, ...]:
-    roll = rng.random()
-    if roll < 0.25:
-        return ("at", 0, ("write", rng.choice(COMMENT_POOL)))
-    if roll < 0.5:
-        return ("at", 1, ("add", rng.choice(COMMENT_POOL)))
-    if roll < 0.75:
-        return ("at", 2, ("incr", 1))
-    return ("at", 3, ("incr", 1))
 
 
 def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, ...]]]] = None) -> TrialReport:

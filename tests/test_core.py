@@ -164,11 +164,7 @@ def _random_patch(rt, rng, state, site):
     """Up to four effective ops from ``state``; returns (patch, end state)."""
     ops = []
     for seq in range(1, rng.randint(1, 4) + 1):
-        if rt.name == "tuple<counter,text>":
-            i = rng.randrange(2)
-            intent = ("at", i, random_intent(rt.components[i], rng, state[i]))
-        else:
-            intent = random_intent(rt, rng, state)
+        intent = random_intent(rt, rng, state)
         op = rt.gen_effective(state, intent, OpId(site, seq))
         ops.append(op)
         state = rt.apply(state, op)

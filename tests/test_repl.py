@@ -61,6 +61,13 @@ class TestParseIntents:
         ("socialmedia", "post p1 comment nice", ("upd", "p1", ("at", 1, ("add", "nice")))),
         ("socialmedia", "post p2 like", ("upd", "p2", ("at", 2, ("incr", 1)))),
         ("socialmedia", "post p2 dislike", ("upd", "p2", ("at", 3, ("incr", 1)))),
+        ("socialmedia", "upd p2 like", ("upd", "p2", ("at", 2, ("incr", 1)))),
+        ("socialpost", "comment nice", ("at", 1, ("add", "nice"))),
+        ("tuple<counter,text>", "at 0 incr 1", ("at", 0, ("incr", 1))),
+        ("tuple<counter,text>", 'at 1 ins 0 "hi"', ("at", 1, ("ins", 0, "hi"))),
+        ("tuple<queue,eset>", "at 0 deq", ("at", 0, ("deq",))),
+        ("map<text>", 'upd k ins 0 "a b"', ("upd", "k", ("ins", 0, "a b"))),
+        ("map<map<counter>>", "upd a upd b decr 3", ("upd", "a", ("upd", "b", ("decr", 3)))),
     ])
     def test_intent(self, kind, line, intent):
         cmd = parse_line(kind, line)
@@ -80,6 +87,16 @@ class TestParseIntents:
         ("socialmedia", "post p1 frob"),
         ("socialmedia", "post p1 like extra"),
         ("eset", 'add "unterminated'),
+        ("tuple<counter,text>", "at 2 incr 1"),   # index out of range
+        ("tuple<counter,text>", "at x incr 1"),   # index not an integer
+        ("tuple<counter,text>", "at 0"),          # no inner command
+        ("tuple<counter,text>", "at"),
+        ("tuple<counter,text>", "at 0 frob"),     # unknown inner verb
+        ("tuple<counter,text>", "at 1 ins 0"),    # inner arity
+        ("map<text>", "upd k"),
+        ("map<text>", "upd"),
+        ("map<text>", "upd k frob"),
+        ("map<text>", "post k ins 0 a"),          # post names posts only
     ])
     def test_rejects(self, kind, line):
         with pytest.raises(ReplError):
