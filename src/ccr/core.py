@@ -92,9 +92,15 @@ class OpId(NamedTuple):
         return f"({self.site},{self.seq})"
 
 
+def is_int(x: Any) -> bool:
+    """Whether a decoded JSON value is an integer.  Booleans, which JSON
+    gives as ``true``/``false``, are ints to Python but not integers here."""
+    return type(x) is int
+
+
 def decode_uid(obj: Any) -> OpId:
-    """The uid of a wire object ``{"site": int, "seq": int}``.  Booleans,
-    which JSON gives as ``true``/``false``, are not integers here."""
+    """The uid of a wire object ``{"site": int, "seq": int}``, both
+    integers in the sense of ``is_int``."""
     if type(obj) is not dict:
         raise WireError(f"bad uid: {obj!r}")
     site = obj.get("site")

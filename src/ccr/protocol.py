@@ -55,9 +55,9 @@ is sequential by construction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .core import (
     CcrError,
@@ -82,28 +82,25 @@ class SiteFaulted(CcrError):
     apply failed mid-integration).  Not recoverable in-process."""
 
 
-@dataclass(frozen=True)
-class Hello:
+class Hello(NamedTuple):
     site: int
     kind: str
     known_len: int  # ops of the receiver's history the sender already holds
 
 
-@dataclass(frozen=True)
-class Increment:
+class Increment(NamedTuple):
     kind: str
     sender: int
     prefix_len: int  # ops of the sender's history the receiver is assumed to hold
     ops: Patch
 
 
-@dataclass(frozen=True)
-class ResyncReq:
-    pass
+class ResyncReq(NamedTuple):
+    """Ask the peer for its whole history.  An empty tuple, so it is falsy
+    and equals ``()``: never test a message for truth."""
 
 
-@dataclass(frozen=True)
-class Full:
+class Full(NamedTuple):
     sender: int
     ops: Patch
 
@@ -213,7 +210,7 @@ def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
         else:
             merged.append((peer, msg, None))
     return [(peer, msg if ops is None or len(ops) == len(msg.ops)
-             else replace(msg, ops=tuple(ops)))
+             else msg._replace(ops=tuple(ops)))
             for peer, msg, ops in merged]
 
 

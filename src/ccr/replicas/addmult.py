@@ -7,7 +7,7 @@ multiplier, so both orders land on (D + m) * n.
 
 from __future__ import annotations
 
-from ..core import ApplyError, IntentError, WireError
+from ..core import ApplyError, IntentError, WireError, is_int
 from .base import ReplicaType
 
 
@@ -62,6 +62,6 @@ class AddMultType(ReplicaType):
 
     def decode_body(self, obj):
         tag = obj.get("type")
-        if tag not in ("Add", "Mult") or not isinstance(obj.get("n"), int):
+        if tag not in ("Add", "Mult") or not is_int(obj.get("n")):
             raise WireError(f"bad addmult op: {obj!r}")
         return (tag, obj["n"])

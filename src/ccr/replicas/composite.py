@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..core import ApplyError, IntentError, Operation, WireError, transform_patch
+from ..core import ApplyError, IntentError, Operation, WireError, is_int, transform_patch
 from .base import ReplicaType, arity, int_arg
 
 POST_SHAPE = "tuple<lww,eset,counter,counter>"
@@ -107,7 +107,7 @@ class TupleType(ReplicaType):
         if obj.get("type") != "At":
             raise WireError(f"bad tuple op: {obj!r}")
         i = obj.get("i")
-        if not isinstance(i, int) or not (0 <= i < len(self.components)):
+        if not is_int(i) or not (0 <= i < len(self.components)):
             raise WireError(f"bad tuple index: {obj!r}")
         if not isinstance(obj.get("op"), dict):
             raise WireError(f"bad tuple op: {obj!r}")
@@ -148,7 +148,7 @@ class MapType(ReplicaType):
         tag, key, bodies = op.body
         if tag != "Upd":
             raise ApplyError(f"unknown map op {tag!r}")
-        cur = state.get(key, self.component.initial())
+        cur = state[key] if key in state else self.component.initial()
         for inner in self._inner_patch(op.uid, bodies):
             cur = self.component.apply(cur, inner)
         new = dict(state)
@@ -174,7 +174,7 @@ class MapType(ReplicaType):
             raise IntentError(f"map has no intent {verb!r}")
         if not isinstance(key, str):
             raise IntentError("map key must be a string")
-        comp_state = state.get(key, self.component.initial())
+        comp_state = state[key] if key in state else self.component.initial()
         inner = self.component.gen_effective(comp_state, inner_intent, uid)
         if inner is None:
             return None

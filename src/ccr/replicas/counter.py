@@ -3,7 +3,7 @@ rewrites anything; overflow is an application error, not wraparound."""
 
 from __future__ import annotations
 
-from ..core import ApplyError, IntentError, WireError
+from ..core import ApplyError, IntentError, WireError, is_int
 from .base import ReplicaType
 
 _MIN = -(2**63)
@@ -53,6 +53,6 @@ class CounterType(ReplicaType):
 
     def decode_body(self, obj):
         tag = obj.get("type")
-        if tag not in ("Incr", "Decr") or not isinstance(obj.get("n"), int):
+        if tag not in ("Incr", "Decr") or not is_int(obj.get("n")):
             raise WireError(f"bad counter op: {obj!r}")
         return (tag, obj["n"])

@@ -12,7 +12,7 @@ consume one element, not two.
 
 from __future__ import annotations
 
-from ..core import ApplyError, IntentError, WireError, decode_uid
+from ..core import ApplyError, IntentError, WireError, decode_uid, is_int
 from .base import ALPHABET, ReplicaType
 
 
@@ -84,7 +84,7 @@ class QueueType(ReplicaType):
     def decode_body(self, obj):
         tag = obj.get("type")
         if tag == "EnqAt":
-            if not isinstance(obj.get("k"), int) or not isinstance(obj.get("x"), str):
+            if not is_int(obj.get("k")) or not isinstance(obj.get("x"), str):
                 raise WireError(f"bad queue op: {obj!r}")
             return ("EnqAt", obj["k"], obj["x"])
         if tag == "Deq":

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from ..core import ApplyError, IntentError, WireError
+from ..core import ApplyError, IntentError, WireError, is_int
 from .base import ReplicaType, random_word
 
 VISIBLE, HIDDEN = b"\x01", b"\x00"
@@ -224,11 +224,11 @@ class TextType(ReplicaType):
     def decode_body(self, obj):
         tag = obj.get("type")
         if tag == "Ins":
-            if not isinstance(obj.get("k"), int) or not isinstance(obj.get("s"), str):
+            if not is_int(obj.get("k")) or not isinstance(obj.get("s"), str):
                 raise WireError(f"bad text op: {obj!r}")
             return ("Ins", obj["k"], obj["s"])
         if tag == "Del":
-            if not isinstance(obj.get("k"), int) or not isinstance(obj.get("n"), int):
+            if not is_int(obj.get("k")) or not is_int(obj.get("n")):
                 raise WireError(f"bad text op: {obj!r}")
             return ("Del", obj["k"], obj["n"])
         raise WireError(f"bad text op: {obj!r}")

@@ -1,10 +1,13 @@
 import json
+import random
+import sys
 
 import pytest
 
 from ccr.core import OpId, WireError
-from ccr.protocol import Full, Hello, Increment, ResyncReq
+from ccr.protocol import Full, Hello, Increment, ResyncReq, SiteState
 from ccr.replicas import replica_type
+from ccr.sim import random_intent
 from ccr.wire import decode_message, decode_op, encode_message, encode_op
 
 TEXT = replica_type("text")
@@ -137,6 +140,85 @@ class TestRoundTrips:
         raw = encode_message(COUNTER, ResyncReq())
         assert decode_message(COUNTER, raw) == decode_message(COUNTER, raw.decode())
 
+    @pytest.mark.parametrize("kind", ["counter", "addmult", "lww", "eset", "queue", "text",
+                                      "socialmedia", "map<text>", "tuple<counter,text>"])
+    def test_random_ops(self, kind):
+        rt = replica_type(kind)
+        rng = random.Random(kind)
+        s = SiteState(0, rt)
+        for _ in range(40):
+            intent = random_intent(rt, rng, s.current)
+            if intent is not None:
+                s.local_update(intent)
+        assert len(s.history) > 20
+        self.round(rt, Increment(rt.name, 0, 0, s.history[:]))
+        self.round(rt, Full(0, s.history))
+
+
+def _loads_decoder(rt, line):
+    """A decoder built on ``json.loads``: the codec's structural checks,
+    applied to what ``json.loads`` makes of the line."""
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise WireError(f"frame is not UTF-8: {e}") from None
+    try:
+        obj = json.loads(line)
+    except ValueError as e:
+        raise WireError(f"frame is not JSON: {e}") from None
+    return decode_message(rt, json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
+
+
+def _outcome(decode, line):
+    try:
+        return decode(COUNTER, line)
+    except WireError as e:
+        return f"WireError: {e}"
+
+
+_INC = '{"v":1,"kind":"counter","sender":0,"prefix_len":0,"ops":[{"uid":{"site":0,"seq":1},"type":"Incr","n":2}]}'
+_INC_MSG = Increment("counter", 0, 0, (COUNTER.op(OpId(0, 1), "Incr", 2),))
+_RESYNC = '{"v":1,"resync":true}'
+
+
+class TestAcceptance:
+    """The lines the codec accepts, and its errors, are those of
+    ``json.loads``; only the route there differs."""
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    @pytest.mark.parametrize("line,expected", [
+        (_INC, _INC_MSG),
+        ("  " + _INC, _INC_MSG),
+        (_INC + "  ", _INC_MSG),
+        (_INC + "\r", _INC_MSG),
+        (_INC + "\r\n", _INC_MSG),
+        (" \t" + _INC + " \n", _INC_MSG),
+        ("\ufeff" + _INC, None),
+        (_INC + "x", None),
+        (_INC + _INC, None),
+        (_INC + " " + _RESYNC, None),
+        (_INC[:-1], None),
+        ("", None),
+        (" \n", None),
+        ('{"v":1,"resync":true,"x":NaN}', ResyncReq()),
+        ('{"v":NaN,"resync":true}', None),
+        ('{"v":1,"hello":0,"kind":"counter","known_len":NaN}', None),
+        ('{"v":2,"v":1,"resync":true}', ResyncReq()),
+        ('{"v":1,"v":2,"resync":true}', None),
+        ('{"v":1,"hello":1,"kind":"counter","known_len":0,"sender":0,"prefix_len":0,"ops":[]}',
+         Hello(1, "counter", 0)),
+        ('{"v":1,"full":[],"sender":1,"resync":true}', ResyncReq()),
+    ])
+    def test_edge_frames(self, line, expected, as_bytes):
+        raw = line.encode("utf-8") if as_bytes else line
+        got = _outcome(decode_message, raw)
+        assert got == _outcome(_loads_decoder, raw)
+        if expected is None:
+            assert isinstance(got, str)
+        else:
+            assert type(got) is type(expected) and got == expected
+
 
 class TestRejects:
     def bad(self, line, rt=COUNTER):
@@ -166,6 +248,25 @@ class TestRejects:
 
     def test_bool_is_not_int(self):
         self.bad(b'{"v":1,"hello":true,"kind":"counter","known_len":0}')
+
+    @pytest.mark.parametrize("v", ["true", "1.0"])
+    def test_version_must_be_integer_1(self, v):
+        self.bad('{"v":%s,"resync":true}' % v)
+
+    @pytest.mark.parametrize("kind,body", [
+        ("counter", '"type":"Incr","n":true'),
+        ("addmult", '"type":"Add","n":true'),
+        ("text", '"type":"Ins","k":true,"s":"a"'),
+        ("text", '"type":"Del","k":true,"n":1'),
+        ("text", '"type":"Del","k":0,"n":true'),
+        ("queue", '"type":"EnqAt","k":false,"x":"job"'),
+        ("socialpost", '"type":"At","i":true,"op":{"type":"Add","x":"c"}'),
+    ], ids=["counter-n", "addmult-n", "text-ins-k", "text-del-k", "text-del-n",
+            "queue-k", "tuple-i"])
+    def test_bool_is_not_int_in_op(self, kind, body):
+        rt = replica_type(kind)
+        self.bad('{"v":1,"kind":"%s","sender":0,"prefix_len":0,'
+                 '"ops":[{"uid":{"site":0,"seq":1},%s}]}' % (rt.name, body), rt)
 
     def test_bad_uid(self):
         self.bad(b'{"v":1,"kind":"counter","sender":0,"prefix_len":0,'
@@ -200,3 +301,31 @@ class TestRejects:
 def test_decode_op_requires_object():
     with pytest.raises(WireError):
         decode_op(COUNTER, "nope")
+
+
+def _python_calls(fn, *args):
+    """``fn(*args)`` and the names of the Python functions it called."""
+    calls = []
+
+    def count(f, event, arg):
+        if event == "call":
+            calls.append(f.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_codec_makes_few_python_calls():
+    """One 1-op counter Increment decodes and encodes in a fixed handful of
+    Python-level calls: no encoder built per frame, no helper per field."""
+    msg = Increment("counter", 0, 5, (COUNTER.op(OpId(0, 6), "Incr", 1),))
+    frame = encode_message(COUNTER, msg)
+    decoded, decode_calls = _python_calls(decode_message, COUNTER, frame)
+    encoded, encode_calls = _python_calls(encode_message, COUNTER, msg)
+    assert decoded == msg and encoded == frame
+    assert len(decode_calls) <= 9, decode_calls
+    assert len(encode_calls) <= 6, encode_calls
