@@ -4,10 +4,10 @@ Framing is newline-delimited JSON (see wire).  Each connection starts with a
 Hello exchange; the dialer follows up with a resync request so a freshly
 (re)started process pulls the survivor's history immediately.  After that a
 connection's frames are read in batches: one read takes whatever the socket
-holds, and every complete line in it is decoded.  Increments that continue
-each other are one longer piece of the peer's stream, so each run of them is
-merged (``protocol.coalesce``) and integrated with one call.  Only then do
-the replies go out, the increments to each peer coalesced the same way.
+holds, and every complete line in it is decoded and handed to the site as
+one batch (``SiteState.handle_batch``, which integrates each run of
+increments that continue each other as one).  Only then do the replies go
+out.
 All site mutations happen on the event loop, between awaits, so the engine
 needs no locks.  Exit codes: 0 clean quit, 2 configuration error, 3
 protocol fault.
@@ -22,10 +22,10 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import CcrError, IntentError, WireError
-from .protocol import Hello, Message, ProtocolError, SiteFaulted, SiteState, coalesce
+from .protocol import Hello, Message, ProtocolError, SiteFaulted, SiteState
 from .repl import Addr, ReplError, parse_line, repl_eval
 from .repl import parse_addr  # noqa: F401  (ccr.agent.parse_addr stays importable)
 from .replicas import replica_type
@@ -219,34 +219,31 @@ class Agent:
         log.info("site %d disconnected", peer)
 
     async def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
-        """Decode complete frames up to the first bad one, integrate them in
-        order, each run of contiguous increments as one, then send their
-        replies.  A bad frame still lets the replies of the frames before
-        it go out before it drops the link; a fault sends nothing."""
-        msgs: List[Tuple[int, Message]] = []
+        """Decode complete frames up to the first bad one, integrate them as
+        one batch, then send the replies.  A bad frame still lets the
+        replies of the frames before it go out before it drops the link; a
+        fault sends nothing."""
+        msgs: List[Message] = []
         bad: Optional[CcrError] = None
         try:
             for frame in frames:
                 if len(frame) > FRAME_LIMIT:
                     raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes")
-                msgs.append((peer, decode_message(self.rt, frame)))
+                msgs.append(decode_message(self.rt, frame))
         except (WireError, ProtocolError) as e:
             bad = e
-        out: List[Tuple[int, Message]] = []
         try:
-            for _, msg in coalesce(msgs):
-                out += self.state.handle_message(peer, msg)
+            out = self.state.handle_batch(peer, msgs)
         except ProtocolError as e:
-            bad = e
+            out, bad = e.replies, e
         await self._send(out)
         if bad is not None:
             raise bad
 
-    async def _send(self, pairs: List[Tuple[int, Message]]) -> None:
-        """Write every message, contiguous increments to a peer as one, then
-        wait once for each link written to."""
+    async def _send(self, pairs: Sequence[Tuple[int, Message]]) -> None:
+        """Write every message, then wait once for each link written to."""
         written: Dict[int, _Link] = {}
-        for peer, msg in coalesce(pairs):
+        for peer, msg in pairs:
             link = self.links.get(peer)
             if link is None or link.writer.is_closing():
                 # not transport-connected right now; the resync path catches
@@ -288,7 +285,7 @@ class Agent:
     async def _exec(self, line: str) -> bool:
         """Run one command; True means quit."""
         try:
-            cmd = parse_line(self.rt.name, line)
+            cmd = parse_line(self.rt, line)
         except ReplError as e:
             print(f"parse error: {e}", flush=True)
             return False
@@ -313,7 +310,7 @@ class Agent:
                         self.exit_code = 3
                         return True
                 return False
-            _, out, msgs = repl_eval(self.state, line)
+            _, out, msgs = repl_eval(self.state, cmd)
             if out:
                 print(out, flush=True)
             await self._send(msgs)

@@ -23,7 +23,10 @@ while it is pending are dropped, and if any of them reached past what the
 answering ``Full`` brought, one more request follows that ``Full``.
 Because a piece is defined by its position alone, increments of one stream
 that continue each other can be sent and integrated as one (``coalesce``),
-reaching the same state as the pieces one by one.
+reaching the same state as the pieces one by one.  ``handle_batch`` is the
+one receive path for a batch of a peer's messages (the agent's read, the
+simulator's delivery on one link at one tick): it integrates each such run
+with one ``handle_message`` and merges the replies the same way.
 
 Transforming the peer's whole cumulative patch against the whole local
 history on every receipt would cost |M|x|H| per message.  The cursor
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import (
     CcrError,
@@ -74,7 +77,11 @@ from .replicas.base import ReplicaType
 
 class ProtocolError(CcrError):
     """A peer broke the protocol (message before Hello, kind mismatch,
-    site collision).  Scoped to one connection."""
+    site collision).  Scoped to one connection.  Raised from
+    ``handle_batch``, it carries in ``replies`` what the batch's messages
+    before the offending one had to send."""
+
+    replies: Sequence[Tuple[int, Message]] = ()
 
 
 class SiteFaulted(CcrError):
@@ -194,24 +201,29 @@ def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
     continues (its ``prefix_len`` is where the previous one ends).  Every
     other message keeps its order; messages to different peers are
     independent streams."""
-    merged: List[Tuple[int, Message, Optional[List[Operation]]]] = []
+    merged: List[Tuple[int, Message]] = []
+    runs: Dict[int, List[Operation]] = {}  # index in merged -> ops of the run there
     tail: Dict[int, int] = {}  # peer -> index of its last message, an Increment
-    for peer, msg in pairs:
+    for pair in pairs:
+        peer, msg = pair
         i = tail.pop(peer, None)
         if isinstance(msg, Increment):
             if i is not None:
-                first, ops = merged[i][1], merged[i][2]
-                if msg.kind == first.kind and msg.prefix_len == first.prefix_len + len(ops):
+                first = merged[i][1]
+                ops = runs.get(i)
+                if msg.kind == first.kind and msg.prefix_len == first.prefix_len + len(
+                        first.ops if ops is None else ops):
+                    if ops is None:
+                        ops = runs[i] = list(first.ops)
                     ops.extend(msg.ops)
                     tail[peer] = i
                     continue
             tail[peer] = len(merged)
-            merged.append((peer, msg, list(msg.ops)))
-        else:
-            merged.append((peer, msg, None))
-    return [(peer, msg if ops is None or len(ops) == len(msg.ops)
-             else msg._replace(ops=tuple(ops)))
-            for peer, msg, ops in merged]
+        merged.append(pair)
+    for i, ops in runs.items():
+        peer, first = merged[i]
+        merged[i] = (peer, Increment(first.kind, first.sender, first.prefix_len, tuple(ops)))
+    return merged
 
 
 class SiteState:
@@ -271,6 +283,22 @@ class SiteState:
         return self._broadcast()
 
     # -- message handling ----------------------------------------------------
+
+    def handle_batch(self, from_site: int, msgs: Sequence[Message]) -> List[Tuple[int, Message]]:
+        """Handle a peer's messages in order, each run of increments that
+        continue each other as one; returns the replies, contiguous
+        increments to each peer merged.  A ``ProtocolError`` keeps what the
+        messages before it committed and carries their replies."""
+        if len(msgs) == 1:
+            return self.handle_message(from_site, msgs[0])
+        out: List[Tuple[int, Message]] = []
+        try:
+            for _, msg in coalesce([(from_site, m) for m in msgs]):
+                out += self.handle_message(from_site, msg)
+        except ProtocolError as e:
+            e.replies = coalesce(out)
+            raise
+        return coalesce(out)
 
     def handle_message(self, from_site: int, msg: Message) -> List[Tuple[int, Message]]:
         self._check_ok()

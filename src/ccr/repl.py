@@ -2,9 +2,9 @@
 
 The grammar is total: every line parses to a ReplCommand or raises ReplError
 naming the offending token.  Control commands (connect, disconnect, sync,
-quit) need a running transport and are dispatched by the agent; everything
-else evaluates against a bare SiteState via repl_eval.  Update commands are
-the kind's own grammar (``ReplicaType.parse_intent``).
+quit) need a running transport and are dispatched by the agent; every
+other parsed command evaluates against a bare SiteState via repl_eval.
+Update commands are the kind's own grammar (``ReplicaType.parse_intent``).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Any, List, Optional, Tuple
 
 from .core import CcrError, IntentError
 from .protocol import Message, SiteState
-from .replicas import replica_type
-from .replicas.base import arity, int_arg
+from .replicas.base import ReplicaType, arity, int_arg
 
 Addr = Tuple[str, int]
 
@@ -45,8 +44,8 @@ def parse_addr(text: str) -> Addr:
         raise ValueError(f"bad port in {text!r}") from None
 
 
-def parse_line(kind: str, line: str) -> ReplCommand:
-    """Parse one input line for a site of the given kind."""
+def parse_line(rt: ReplicaType, line: str) -> ReplCommand:
+    """Parse one input line for a site of kind ``rt``."""
     try:
         tokens = shlex.split(line, comments=True)
     except ValueError as e:
@@ -65,25 +64,21 @@ def parse_line(kind: str, line: str) -> ReplCommand:
             if len(args) > 1:
                 raise ReplError(f"sync takes at most 1 argument, got {len(args)}")
             return ReplCommand("sync", (int_arg(args[0], "sync timeout") if args else None,))
-        intent = replica_type(kind).parse_intent(verb, args)
+        intent = rt.parse_intent(verb, args)
     except (IntentError, ValueError) as e:  # ValueError: a bad address
         raise ReplError(str(e)) from None
     if intent is None:
-        raise ReplError(f"unknown command {verb!r} for kind {kind!r}")
+        raise ReplError(f"unknown command {verb!r} for kind {rt.name!r}")
     return ReplCommand("update", intent=intent)
 
 
-def repl_eval(state: SiteState, line: str) -> Tuple[SiteState, str, List[Tuple[int, Message]]]:
-    """Evaluate one line against a site; returns (state, output, messages).
+def repl_eval(state: SiteState, cmd: ReplCommand) -> Tuple[SiteState, str, List[Tuple[int, Message]]]:
+    """Evaluate one parsed command against a site; returns (state, output,
+    messages).
 
     Control verbs that need a live transport come back with a hint instead
     of acting; the agent intercepts them before calling here.
     """
-    try:
-        cmd = parse_line(state.rt.name, line)
-    except ReplError as e:
-        return state, f"parse error: {e}", []
-
     if cmd.verb == "noop":
         return state, "", []
     if cmd.verb == "show":

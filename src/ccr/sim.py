@@ -6,7 +6,10 @@ reproduces a trial exactly.  Local updates (random effective intents, drawn
 by the kind's ``draw_intent``) are scheduled across a time horizon;
 deliveries take a small random delay.  Without --reorder, deliveries between
 a pair stay FIFO like a stream socket; with it they may overtake.
---duplicate occasionally re-enqueues a delivered message once more, later.
+--duplicate occasionally delivers a message once more, later.
+Every message due on one link at one tick is delivered as one batch, in
+send order, through ``SiteState.handle_batch``: the simulator's counterpart
+of one socket read in the agent.
 
 A trial converges when the queue drains, every cursor is caught up, and all
 site digests are equal.  Exceeding the event budget is reported as
@@ -86,9 +89,9 @@ def random_intent(rt: ReplicaType, rng: random.Random, state: Any) -> Optional[T
 
 
 def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, ...]]]] = None) -> TrialReport:
-    """Run one trial.  ``script`` replays a recorded intent schedule instead
-    of drawing fresh intents (used by the shrinker); entries that turned
-    ineffective or malformed after shrinking are skipped."""
+    """Run one trial.  ``script`` replays a recorded intent schedule
+    (``TrialReport.script``) instead of drawing fresh intents; entries that
+    no longer fit the state are skipped."""
     # Two independent streams so that replaying a recorded script skips the
     # intent draws without disturbing the delivery pattern: a full-script
     # replay retraces the original trial exactly.
@@ -118,21 +121,36 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
             push(time, "update", (site, intent))
 
     pair_clock: Dict[Tuple[int, int], int] = {}
+    # (time, src, dst) -> the messages due then on that link, in send order
+    due: Dict[Tuple[int, int, int], List[Any]] = {}
     inflight = 0
     max_inflight = 0
     messages_sent = 0
     recorded: List[Tuple[int, int, Tuple[Any, ...]]] = []
 
-    def send(now: int, src: int, dst: int, msg: Any, dup_allowed: bool = True) -> None:
-        nonlocal inflight, max_inflight, messages_sent
+    def enqueue(t: int, src: int, dst: int, msg: Any) -> None:
+        nonlocal inflight, max_inflight
+        key = (t, src, dst)
+        batch = due.get(key)
+        if batch is None:
+            due[key] = [msg]
+            push(t, "deliver", key)
+        else:
+            batch.append(msg)
+        inflight += 1
+        if inflight > max_inflight:
+            max_inflight = inflight
+
+    def send(now: int, src: int, dst: int, msg: Any) -> None:
+        nonlocal messages_sent
         t = now + net_rng.randint(1, 3)
         if not cfg.reorder:
             t = max(t, pair_clock.get((src, dst), 0))
             pair_clock[(src, dst)] = t
-        push(t, "deliver", (src, dst, msg, dup_allowed))
-        inflight += 1
-        max_inflight = max(max_inflight, inflight)
+        enqueue(t, src, dst, msg)
         messages_sent += 1
+        if cfg.duplicate and net_rng.random() < 0.1:
+            enqueue(t + net_rng.randint(1, 6), src, dst, msg)  # delivered once more, later
 
     def report(reason: str) -> TrialReport:
         digests = {i: s.digest() for i, s in sites.items()}
@@ -167,13 +185,10 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
                 for dst, msg in out:
                     send(now, site, dst, msg)
             else:
-                src, dst, msg, dup_allowed = payload
-                inflight -= 1
-                if cfg.duplicate and dup_allowed and net_rng.random() < 0.1:
-                    push(now + net_rng.randint(1, 6), "deliver", (src, dst, msg, False))
-                    inflight += 1
-                    max_inflight = max(max_inflight, inflight)
-                for nxt, reply in sites[dst].handle_message(src, msg):
+                _, src, dst = payload
+                batch = due.pop(payload)
+                inflight -= len(batch)
+                for nxt, reply in sites[dst].handle_batch(src, batch):
                     send(now, dst, nxt, reply)
         except CcrError as e:
             fault = f"fault: {e}"
@@ -184,52 +199,3 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
     if not quiescent(sites, 0):
         return report("drained without quiescence")
     return report("ok")
-
-
-def shrink_trial(cfg: SimConfig, report: TrialReport) -> Tuple[SimConfig, TrialReport]:
-    """Shrink a failing trial: drop trailing intents, shorten payloads, then
-    drop sites.  Every kept candidate re-runs red, so the result replays."""
-    if report.converged:
-        return cfg, report
-    script = list(report.script)
-
-    def fails(c: SimConfig, s):
-        r = run_trial(c, script=s)
-        return (not r.converged), r
-
-    best = report
-    # Trailing intents first.
-    changed = True
-    while changed:
-        changed = False
-        i = len(script) - 1
-        while i >= 0:
-            cand = script[:i] + script[i + 1:]
-            bad, r = fails(cfg, cand)
-            if bad:
-                script, best, changed = cand, r, True
-            i -= 1
-    # Then payload strings.
-    for i, (t, site, intent) in enumerate(script):
-        intent = list(intent)
-        for j, arg in enumerate(intent):
-            while isinstance(arg, str) and len(arg) > 1:
-                cand_intent = intent[:j] + [arg[: len(arg) // 2]] + intent[j + 1:]
-                cand = script[:i] + [(t, site, tuple(cand_intent))] + script[i + 1:]
-                bad, r = fails(cfg, cand)
-                if not bad:
-                    break
-                arg = arg[: len(arg) // 2]
-                intent = cand_intent
-                script, best = cand, r
-    # Then site count.
-    while cfg.sites > 2:
-        used = {s for (_, s, _) in script}
-        if cfg.sites - 1 in used:
-            break
-        cand_cfg = SimConfig(**{**cfg.__dict__, "sites": cfg.sites - 1})
-        bad, r = fails(cand_cfg, script)
-        if not bad:
-            break
-        cfg, best = cand_cfg, r
-    return cfg, best

@@ -12,7 +12,8 @@ position 0.  Its result stands when the rest of the line is empty or JSON
 whitespace, so a line ending (``\\n`` or ``\\r\\n``) costs nothing.  Every
 other line (leading whitespace, a BOM, trailing data, malformed JSON) goes
 through ``json.loads`` itself, so the lines accepted and the errors raised
-are exactly those of ``json.loads``.  The header is then checked in a fixed
+are exactly those of ``json.loads``.  A frame nested past the scanner's
+recursion limit is refused like malformed JSON.  The header is then checked in a fixed
 precedence (hello, resync, full, ops) and the ops in one loop, with no
 helper call per field.
 """
@@ -100,7 +101,7 @@ def decode_message(rt: ReplicaType, line: Union[bytes, str]) -> Message:
             raise WireError(f"frame is not UTF-8: {e}") from None
     try:
         obj = _parse(line)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         raise WireError(f"frame is not JSON: {e}") from None
     if type(obj) is not dict or obj.get("v") != 1 or type(obj["v"]) is not int:
         raise WireError(f"unsupported frame: {obj!r}")

@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 import ccr.agent as agent_mod
+import ccr.repl as repl_mod
 from ccr.agent import Agent, AgentConfig, parse_addr
 from ccr.core import OpId
 from ccr.protocol import Full, Hello, Increment, ResyncReq, SiteState
@@ -87,6 +88,21 @@ def test_parse_addr():
         parse_addr("80")
     with pytest.raises(ValueError):
         parse_addr("host:pt")
+
+
+def test_exec_parses_each_line_once(monkeypatch):
+    lines = []
+    real = repl_mod.parse_line
+
+    def counting(rt, line):
+        lines.append(line)
+        return real(rt, line)
+
+    monkeypatch.setattr(repl_mod, "parse_line", counting)
+    monkeypatch.setattr(agent_mod, "parse_line", counting)
+    a = Agent(AgentConfig(site=0, kind="counter", listen=addr(0)))
+    assert asyncio.run(a._exec("incr 2")) is False
+    assert lines == ["incr 2"] and a.state.current == 2
 
 
 class TestInProcess:
@@ -432,7 +448,9 @@ class TestBatchedFrames:
 
         asyncio.run(flow())
 
-    def test_bad_frame_after_good_ones(self, caplog):
+    @pytest.mark.parametrize("bad", [b"not json\n", b'{"v":1,"x":' + b"[" * 100000 + b"\n"],
+                             ids=["not-json", "nested-too-deep"])
+    def test_bad_frame_after_good_ones(self, caplog, bad):
         async def flow():
             pa = free_port()
             a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
@@ -441,7 +459,7 @@ class TestBatchedFrames:
                 x = await RawPeer("counter", 1).connect(pa)
                 y = await RawPeer("counter", 2).connect(pa)
                 await wait_for(lambda: 2 in a.links)
-                x.writer.write(x.frames_of([("Incr", 1)] * 3) + b"not json\n")
+                x.writer.write(x.frames_of([("Incr", 1)] * 3) + bad)
                 await wait_for(lambda: 1 not in a.links)
                 await y.read_until(3)
                 assert y.seen == [OpId(1, 1), OpId(1, 2), OpId(1, 3)]
@@ -455,6 +473,7 @@ class TestBatchedFrames:
         with caplog.at_level(logging.WARNING, logger="ccr.agent"):
             asyncio.run(flow())
         assert any("dropping site 1" in r.getMessage() for r in caplog.records)
+        assert not any(r.exc_info for r in caplog.records)  # a warning, not a traceback
 
     def test_overlong_partial_line_drops_link(self, monkeypatch):
         monkeypatch.setattr(agent_mod, "FRAME_LIMIT", 4096)

@@ -483,20 +483,44 @@ class TestCoalesce:
         at_once.check_invariants()
 
 
-def _random_intent(kind, rng, state):
-    if kind == "counter":
-        return ("incr", rng.randint(1, 9))
-    if kind == "eset":
-        x = rng.choice("abcdefgh")
-        return ("add" if x not in state else "rem", x)
-    if kind == "queue":
-        if rng.random() < 2 / 3:
-            return ("enq", rng.choice("abcdef"))
-        return ("deq",)
-    if state and rng.random() < 0.4:
-        k = rng.randrange(len(state))
-        return ("del", k, rng.randint(1, min(2, len(state) - k)))
-    return ("ins", rng.randint(0, len(state)), rng.choice("abcdef") * rng.randint(1, 2))
+class TestHandleBatch:
+    rt = replica_type("counter")
+
+    def sender(self, n):
+        """Site 0 after n local increments, with the Increments it sent to 1."""
+        a = SiteState(0, self.rt)
+        a.connect_peer(1)
+        return a, [m for i in range(n) for _, m in a.local_update(("incr", i + 1))]
+
+    def receiver(self):
+        b = SiteState(1, self.rt)
+        b.connect_peer(0)
+        b.connect_peer(2)
+        return b
+
+    @pytest.mark.parametrize("msg_kind", ["Increment", "ResyncReq", "Full"])
+    def test_one_message_batch_is_handle_message(self, msg_kind):
+        a, incs = self.sender(3)
+        msg = {"Increment": incs[0], "ResyncReq": ResyncReq(),
+               "Full": Full(sender=0, ops=a.history)}[msg_kind]
+        by_batch, by_message = self.receiver(), self.receiver()
+        for b in (by_batch, by_message):
+            b.local_update(("incr", 10))
+        assert by_batch.handle_batch(0, [msg]) == by_message.handle_message(0, msg)
+        assert by_batch.history == by_message.history
+        assert by_batch.stats == by_message.stats
+
+    def test_kind_mismatch_mid_batch_keeps_earlier_commits(self):
+        _, incs = self.sender(3)
+        other = incs[2]._replace(kind="text")
+        b, ref = self.receiver(), self.receiver()
+        with pytest.raises(ProtocolError, match="kind mismatch") as err:
+            b.handle_batch(0, [incs[0], incs[1], other, incs[2]])
+        [(_, run)] = coalesce([(0, incs[0]), (0, incs[1])])
+        assert err.value.replies == ref.handle_message(0, run)
+        assert [peer for peer, _ in err.value.replies] == [0, 2]
+        assert b.history == ref.history and b.current == 3
+        assert b.peers[0].recv_len == 2
 
 
 @pytest.mark.parametrize("kind,nsites", [("counter", 3), ("text", 2), ("eset", 3), ("queue", 3),
@@ -510,7 +534,7 @@ def test_verified_cache_under_shuffled_delivery(kind, nsites, seed):
     for _ in range(5):
         batch = []
         for i in sites:
-            intent = _random_intent(kind, rng, sites[i].current)
+            intent = random_intent(sites[i].rt, rng, sites[i].current)
             batch.extend(outbox(i, sites[i].local_update(intent)))
         rng.shuffle(batch)
         pending = deque()

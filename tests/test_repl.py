@@ -1,36 +1,40 @@
+import asyncio
 import json
 
 import pytest
 
+from ccr.agent import Agent, AgentConfig
 from ccr.protocol import SiteState
 from ccr.repl import ReplCommand, ReplError, parse_line, repl_eval
 from ccr.replicas import replica_type
 
+COUNTER = replica_type("counter")
+
 
 def evl(state, line):
-    _, out, msgs = repl_eval(state, line)
+    _, out, msgs = repl_eval(state, parse_line(state.rt, line))
     return out, msgs
 
 
 class TestParseControl:
     def test_bare_verbs(self):
         for verb in ("peers", "show", "history", "quit"):
-            assert parse_line("counter", verb) == ReplCommand(verb)
+            assert parse_line(COUNTER, verb) == ReplCommand(verb)
 
     def test_connect_addr(self):
-        cmd = parse_line("counter", "connect 10.0.0.7:9001")
+        cmd = parse_line(COUNTER, "connect 10.0.0.7:9001")
         assert cmd == ReplCommand("connect", ("10.0.0.7", 9001))
 
     def test_disconnect_addr(self):
-        assert parse_line("text", "disconnect localhost:80").args == ("localhost", 80)
+        assert parse_line(replica_type("text"), "disconnect localhost:80").args == ("localhost", 80)
 
     def test_sync_forms(self):
-        assert parse_line("counter", "sync").args == (None,)
-        assert parse_line("counter", "sync 30").args == (30,)
+        assert parse_line(COUNTER, "sync").args == (None,)
+        assert parse_line(COUNTER, "sync 30").args == (30,)
 
     def test_blank_and_comment(self):
-        assert parse_line("counter", "").verb == "noop"
-        assert parse_line("counter", "   # just a note").verb == "noop"
+        assert parse_line(COUNTER, "").verb == "noop"
+        assert parse_line(COUNTER, "   # just a note").verb == "noop"
 
     @pytest.mark.parametrize("line", [
         "connect nocolon",
@@ -41,7 +45,7 @@ class TestParseControl:
     ])
     def test_rejects(self, line):
         with pytest.raises(ReplError):
-            parse_line("counter", line)
+            parse_line(COUNTER, line)
 
 
 class TestParseIntents:
@@ -70,12 +74,12 @@ class TestParseIntents:
         ("map<map<counter>>", "upd a upd b decr 3", ("upd", "a", ("upd", "b", ("decr", 3)))),
     ])
     def test_intent(self, kind, line, intent):
-        cmd = parse_line(kind, line)
+        cmd = parse_line(replica_type(kind), line)
         assert cmd.verb == "update" and cmd.intent == intent
 
     def test_structural_map_name_same_grammar(self):
-        kind = replica_type("socialmedia").name
-        assert parse_line(kind, "post p1 like").intent == ("upd", "p1", ("at", 2, ("incr", 1)))
+        rt = replica_type(replica_type("socialmedia").name)
+        assert parse_line(rt, "post p1 like").intent == ("upd", "p1", ("at", 2, ("incr", 1)))
 
     @pytest.mark.parametrize("kind,line", [
         ("counter", "add 1"),        # addmult verb on a counter
@@ -100,7 +104,7 @@ class TestParseIntents:
     ])
     def test_rejects(self, kind, line):
         with pytest.raises(ReplError):
-            parse_line(kind, line)
+            parse_line(replica_type(kind), line)
 
 
 class TestEval:
@@ -127,10 +131,10 @@ class TestEval:
         assert out and "5" in out and msgs == []
         assert s.history == ()
 
-    def test_parse_error_surfaced(self):
-        s = SiteState(0, replica_type("counter"))
-        out, _ = evl(s, "frobnicate")
-        assert out.startswith("parse error:")
+    def test_parse_error_surfaced(self, capsys):
+        a = Agent(AgentConfig(site=0, kind="counter", listen=("127.0.0.1", 0)))
+        assert asyncio.run(a._exec("frobnicate")) is False
+        assert capsys.readouterr().out.startswith("parse error:")
 
     def test_peers_listing(self):
         s = SiteState(0, replica_type("counter"))
@@ -142,9 +146,9 @@ class TestEval:
 
     def test_stats_one_json_line(self):
         s = SiteState(0, replica_type("counter"))
-        assert parse_line("counter", "stats") == ReplCommand("stats")
+        assert parse_line(COUNTER, "stats") == ReplCommand("stats")
         with pytest.raises(ReplError):
-            parse_line("counter", "stats now")
+            parse_line(COUNTER, "stats now")
         s.connect_peer(1)
         s.request_resync(1)
         out, msgs = evl(s, "stats")

@@ -246,6 +246,9 @@ class TestRejects:
     def test_unknown_frame(self):
         self.bad(b'{"v":1,"goodbye":0}')
 
+    def test_nested_too_deep(self):
+        self.bad(b'{"v":1,"x":' + b"[" * 100000)
+
     def test_bool_is_not_int(self):
         self.bad(b'{"v":1,"hello":true,"kind":"counter","known_len":0}')
 
