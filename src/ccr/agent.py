@@ -6,8 +6,10 @@ Hello exchange; the dialer follows up with a resync request so a freshly
 connection's frames are read in batches: one read takes whatever the socket
 holds, and every complete line in it is decoded and handed to the site as
 one batch (``SiteState.handle_batch``, which integrates each run of
-increments that continue each other as one).  Only then do the replies go
-out.
+increments that continue each other as one).  TCP delivers in order, so a
+piece held past a gap after a read waits on something that will never come:
+the site is told the link has drained (``SiteState.link_drained``) and asks
+for the peer's history.  Only then do the replies go out.
 All site mutations happen on the event loop, between awaits, so the engine
 needs no locks.  Exit codes: 0 clean quit, 2 configuration error, 3
 protocol fault.
@@ -220,9 +222,9 @@ class Agent:
 
     async def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
         """Decode complete frames up to the first bad one, integrate them as
-        one batch, then send the replies.  A bad frame still lets the
-        replies of the frames before it go out before it drops the link; a
-        fault sends nothing."""
+        one batch, ask for a resync if a gap is left open, then send the
+        replies.  A bad frame still lets the replies of the frames before it
+        go out before it drops the link; a fault sends nothing."""
         msgs: List[Message] = []
         bad: Optional[CcrError] = None
         try:
@@ -234,6 +236,7 @@ class Agent:
             bad = e
         try:
             out = self.state.handle_batch(peer, msgs)
+            out += self.state.link_drained(peer)
         except ProtocolError as e:
             out, bad = e.replies, e
         await self._send(out)

@@ -14,13 +14,16 @@ Every message from a peer is a piece of one append-only stream: an
 covers it from position 0.  The part of a piece that overlaps what the cursor
 has already integrated must equal it; then only the ops past the cursor are
 new, so a duplicate or an overtaken piece is dropped by position and an
-overlapping one integrates just its tail.  A resync happens only when the
-stream is broken: on a gap (the piece starts past the cursor) or on an
-overlap that disagrees (the peer is a new incarnation).  The receiver then
-asks for the peer's full history, which integrates harmlessly (everything
-known cancels).  At most one request is in flight per peer: pieces broken
-while it is pending are dropped, and if any of them reached past what the
-answering ``Full`` brought, one more request follows that ``Full``.
+overlapping one integrates just its tail.  A piece that starts past the
+cursor is held (at most ``HOLD_LIMIT`` per peer, keyed by its start) and
+integrated as soon as the cursor reaches it, so a link that reorders fills
+its own gaps without a message.  A resync happens only when the stream is
+broken for good: a gap is still open once nothing older can arrive on the
+link (the driver says so with ``link_drained``), the hold is full, or an
+overlap disagrees (the peer is a new incarnation).  The receiver then asks
+for the peer's full history, which integrates harmlessly (everything known
+cancels), and held pieces continue whatever it brought.  At most one
+request is in flight per peer.
 Because a piece is defined by its position alone, increments of one stream
 that continue each other can be sent and integrated as one (``coalesce``),
 reaching the same state as the pieces one by one.  ``handle_batch`` is the
@@ -73,6 +76,9 @@ from .core import (
     transform_patch,
 )
 from .replicas.base import ReplicaType
+
+# Most pieces held per peer past a gap; one more asks for a resync at once.
+HOLD_LIMIT = 64
 
 
 class ProtocolError(CcrError):
@@ -165,10 +171,12 @@ class PeerCursor:
     # Local history rewritten into the peer's frame (see module docstring);
     # extended in place.
     remainder: List[Operation] = field(default_factory=list)
+    # Pieces of the peer's stream that start past recv_len, by start, the
+    # longer one kept when two share it; at most HOLD_LIMIT.  While any is
+    # held, a gap before it is open.
+    held: Dict[int, Patch] = field(default_factory=dict)
     # A ResyncReq is out and its Full has not come back yet.
     resync_pending: bool = False
-    # Furthest stream position of a piece dropped while it was out.
-    resync_hw: int = 0
 
 
 @dataclass
@@ -182,13 +190,11 @@ class SiteStats:
 
 def _novel_tail(cur: PeerCursor, start: int, ops: Patch) -> Optional[Patch]:
     """The ops of a piece of the peer's stream, starting at position
-    ``start``, that lie past what ``cur`` has integrated; None if the piece
-    does not continue that prefix (a gap, or an overlap that disagrees)."""
+    ``start`` no later than the cursor, that lie past what ``cur`` has
+    integrated; None if the overlap disagrees with what it holds there."""
     have = cur.recv_len
     if start == have:
         return ops
-    if start > have:
-        return None
     overlap = min(start + len(ops), have) - start
     if cur.recv_prefix[start:start + overlap] != list(ops[:overlap]):
         return None
@@ -258,14 +264,15 @@ class SiteState:
         dialed).  known_len is the peer's claim of how much of our history it
         already holds; an overclaim (stale or fresh restart on their side)
         degrades to a resync on their first prefix check.  A request still
-        pending on an old link is forgotten, so the next gap asks again."""
+        pending on an old link is forgotten, so the next gap asks again, and
+        pieces held from the old link are dropped."""
         cur = self.peers.get(peer_site)
         if cur is None:
             cur = PeerCursor(remainder=list(self._log))
             self.peers[peer_site] = cur
         cur.sent_len = min(known_len, len(self._log))
+        cur.held.clear()
         cur.resync_pending = False
-        cur.resync_hw = 0
 
     # -- local edits ---------------------------------------------------------
 
@@ -314,11 +321,14 @@ class SiteState:
                 )
             ops = tuple(msg.ops)
             if msg.prefix_len != cur.recv_len:  # in order is the common case
+                if msg.prefix_len > cur.recv_len:
+                    return self._hold(from_site, msg.prefix_len, ops)
                 tail = _novel_tail(cur, msg.prefix_len, ops)
                 if tail is None:
-                    return self.request_resync(from_site, msg.prefix_len + len(ops))
+                    return self.request_resync(from_site)
                 ops = tail
-            return self._integrate(from_site, ops)
+            out = self._integrate(from_site, ops)
+            return self._land_held(from_site, out) if cur.held else out
         if isinstance(msg, ResyncReq):
             n = len(self._log)
             reply = Full(sender=self.site, ops=HistoryView(self._log, n))
@@ -330,25 +340,60 @@ class SiteState:
             cur.resync_pending = False
             tail = _novel_tail(cur, 0, ops)
             out = self._integrate(from_site, ops if tail is None else tail, restart=tail is None)
-            if cur.resync_hw > cur.recv_len:
-                # A piece dropped while the request was out may have been
-                # sent after the peer cut this Full.
-                out += self.request_resync(from_site, cur.resync_hw)
-            cur.resync_hw = 0
-            return out
+            return self._land_held(from_site, out) if cur.held else out
         raise ProtocolError(f"unknown message {msg!r}")
 
-    def request_resync(self, peer: int, end: int = 0) -> List[Tuple[int, Message]]:
+    def request_resync(self, peer: int) -> List[Tuple[int, Message]]:
         """Ask the peer for its full history unless a request is already
-        out.  A dialer asks with ``end`` 0; a broken stream asks with
-        ``end`` the position its offending piece reached."""
+        out: a dialer asks at once, a broken stream when it is found (an
+        overlap that disagrees, a full hold) or when its link has drained
+        with a gap still open."""
         cur = self.peers[peer]
         if cur.resync_pending:
-            cur.resync_hw = max(cur.resync_hw, end)
             return []
         cur.resync_pending = True
         self.stats.resync_reqs += 1
         return [(peer, ResyncReq())]
+
+    def link_drained(self, peer: int) -> List[Tuple[int, Message]]:
+        """Nothing older can still arrive from ``peer``: a gap before a held
+        piece will not fill by itself, so ask for the peer's history (one
+        request in flight at most).  Called by the driver, after every read
+        of a FIFO link and whenever a reordering link empties."""
+        return self.request_resync(peer) if self.peers[peer].held else []
+
+    def _hold(self, peer: int, start: int, ops: Patch) -> List[Tuple[int, Message]]:
+        """Keep a piece that starts past the cursor until the gap before it
+        fills.  A full hold asks at once and drops a piece, but never the
+        one that reaches furthest: a piece sent after the answering Full was
+        cut then still leaves a gap open once that Full lands."""
+        held = self.peers[peer].held
+        have = held.get(start)
+        if have is None and len(held) >= HOLD_LIMIT:
+            far = max(held, key=lambda k: k + len(held[k]))
+            if start + len(ops) > far + len(held[far]):
+                del held[far]
+                held[start] = ops
+            return self.request_resync(peer)
+        if have is None or len(ops) > len(have):
+            held[start] = ops
+        return []
+
+    def _land_held(self, peer: int, out: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
+        """After an integration from ``peer``, integrate every held piece
+        the cursor has reached, in stream order, each through the overlap
+        check; ``out`` are the replies so far, returned with theirs merged."""
+        cur = self.peers[peer]
+        while cur.held:
+            start = min(cur.held)
+            if start > cur.recv_len:
+                break
+            tail = _novel_tail(cur, start, cur.held.pop(start))
+            if tail is None:
+                out += self.request_resync(peer)
+            else:
+                out += self._integrate(peer, tail)
+        return coalesce(out)
 
     def _handle_hello(self, msg: Hello) -> List[Tuple[int, Message]]:
         if msg.site == self.site:

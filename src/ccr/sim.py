@@ -9,7 +9,11 @@ a pair stay FIFO like a stream socket; with it they may overtake.
 --duplicate occasionally delivers a message once more, later.
 Every message due on one link at one tick is delivered as one batch, in
 send order, through ``SiteState.handle_batch``: the simulator's counterpart
-of one socket read in the agent.
+of one socket read in the agent.  A piece that overtook another is held by
+its receiver until the gap fills; when a delivery leaves its link empty,
+nothing older can still arrive, and the receiver is told so
+(``SiteState.link_drained``) and asks for a resync if a gap is still open.
+The network loses nothing, so on its own it never needs that resync.
 
 A trial converges when the queue drains, every cursor is caught up, and all
 site digests are equal.  Exceeding the event budget is reported as
@@ -123,6 +127,7 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
     pair_clock: Dict[Tuple[int, int], int] = {}
     # (time, src, dst) -> the messages due then on that link, in send order
     due: Dict[Tuple[int, int, int], List[Any]] = {}
+    on_link: Dict[Tuple[int, int], int] = {}  # (src, dst) -> messages in flight
     inflight = 0
     max_inflight = 0
     messages_sent = 0
@@ -137,6 +142,7 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
             push(t, "deliver", key)
         else:
             batch.append(msg)
+        on_link[src, dst] = on_link.get((src, dst), 0) + 1
         inflight += 1
         if inflight > max_inflight:
             max_inflight = inflight
@@ -188,7 +194,11 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
                 _, src, dst = payload
                 batch = due.pop(payload)
                 inflight -= len(batch)
-                for nxt, reply in sites[dst].handle_batch(src, batch):
+                left = on_link[src, dst] = on_link[src, dst] - len(batch)
+                out = sites[dst].handle_batch(src, batch)
+                if not left:
+                    out += sites[dst].link_drained(src)
+                for nxt, reply in out:
                     send(now, dst, nxt, reply)
         except CcrError as e:
             fault = f"fault: {e}"

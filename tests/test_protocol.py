@@ -7,6 +7,7 @@ import pytest
 
 from ccr import OpId, replica_type
 from ccr.protocol import (
+    HOLD_LIMIT,
     Full,
     Hello,
     HistoryView,
@@ -137,12 +138,13 @@ class TestRecovery:
         second = a.local_update(("incr", 2))[0][1]
         assert (first.prefix_len, second.prefix_len) == (0, 1)
 
-        replies = b.handle_message(0, second)  # gap: arrives first
-        assert replies == [(0, ResyncReq())]
-        pending = deque([(1, 0, replies[0][1]), (0, 1, first)])
-        drain(sites, pending)
+        assert b.handle_message(0, second) == []  # gap: arrives first, is held
+        assert b.peers[0].held == {1: second.ops}
+        drain(sites, deque([(0, 1, first)]))
         assert b.current == 3
         assert a.digest() == b.digest()
+        assert not b.peers[0].held and b.stats.resync_reqs == 0
+        assert quiescent(sites, 0)
 
     def test_restart_resumes_sequence_numbers(self):
         sites = mesh("counter", 2)
@@ -198,8 +200,9 @@ class TestRecovery:
 
 
 class TestStreamPosition:
-    """Every peer message is a piece of the peer's stream; only a gap or a
-    disagreeing overlap resyncs, and one request at a time."""
+    """Every peer message is a piece of the peer's stream; only a gap left
+    open once the link has drained, a full hold or a disagreeing overlap
+    resyncs, and one request at a time."""
 
     def test_overlapping_increment_integrates_its_tail(self, monkeypatch):
         sites = mesh("counter", 2, verify=True)
@@ -220,8 +223,10 @@ class TestStreamPosition:
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         first, second, third = (a.local_update(("incr", n))[0][1] for n in (1, 2, 4))
-        assert b.handle_message(0, second) == [(0, ResyncReq())]
+        assert b.handle_message(0, second) == []
         assert b.handle_message(0, third) == []
+        assert b.link_drained(0) == [(0, ResyncReq())]
+        assert b.link_drained(0) == []
         assert b.peers[0].resync_pending
         assert b.stats.resync_reqs == 1
         drain(sites, deque([(1, 0, ResyncReq()), (0, 1, first)]))
@@ -229,27 +234,51 @@ class TestStreamPosition:
         assert not b.peers[0].resync_pending
         assert quiescent(sites, 0)
 
-    def test_gap_past_the_full_is_asked_for_again(self):
+    def test_piece_past_the_full_lands_from_the_hold(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         first = a.local_update(("incr", 1))[0][1]
         second = a.local_update(("incr", 2))[0][1]
-        req = b.handle_message(0, second)
+        assert b.handle_message(0, second) == []
+        req = b.link_drained(0)
         full = a.handle_message(1, req[0][1])[0][1]
         # Sent after a cut the Full, arrives before it.
         third = a.local_update(("incr", 4))[0][1]
         assert b.handle_message(0, third) == []
-        assert b.peers[0].resync_hw == 3
+        assert sorted(b.peers[0].held) == [1, 2]
 
         out = b.handle_message(0, full)
-        assert b.peers[0].recv_len == 2
-        assert out.count((0, ResyncReq())) == 1
-        assert b.peers[0].resync_hw == 0
+        assert b.peers[0].recv_len == 3
+        assert not b.peers[0].held
+        assert b.link_drained(0) == []
         pending = deque((1, dst, m) for dst, m in out)
         pending.append((0, 1, first))
         drain(sites, pending)
         assert a.current == b.current == 7
+        assert b.stats.resync_reqs == 1
+        assert quiescent(sites, 0)
+
+    def test_gap_past_the_full_is_asked_for_again(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        a.local_update(("incr", 1))  # lost
+        second = a.local_update(("incr", 2))[0][1]
+        assert b.handle_message(0, second) == []
+        [(_, req)] = b.link_drained(0)
+        full = a.handle_message(1, req)[0][1]
+        a.local_update(("incr", 4))  # lost, sent after a cut the Full
+        fourth = a.local_update(("incr", 8))[0][1]
+        assert b.handle_message(0, fourth) == []
+        assert b.link_drained(0) == []  # the request is still out
+
+        out = b.handle_message(0, full)
+        assert b.peers[0].recv_len == 2 and list(b.peers[0].held) == [3]
+        out += b.link_drained(0)
+        assert out.count((0, ResyncReq())) == 1
+        drain(sites, deque((1, dst, m) for dst, m in out))
+        assert a.current == b.current == 15
         assert b.stats.resync_reqs == 2
+        assert not b.peers[0].held
         assert quiescent(sites, 0)
 
     def test_connect_peer_clears_pending_request(self):
@@ -257,35 +286,43 @@ class TestStreamPosition:
         a, b = sites[0], sites[1]
         a.local_update(("incr", 1))
         gap = a.local_update(("incr", 2))[0][1]
-        assert b.handle_message(0, gap) == [(0, ResyncReq())]
         assert b.handle_message(0, gap) == []
-        assert b.peers[0].resync_hw == 2
+        assert b.link_drained(0) == [(0, ResyncReq())]
+        assert b.handle_message(0, gap) == []
+        assert b.link_drained(0) == []
+        assert b.peers[0].held == {1: gap.ops}
         b.connect_peer(0)  # the link dropped with the request in flight
         assert not b.peers[0].resync_pending
-        assert b.peers[0].resync_hw == 0
-        assert b.handle_message(0, gap) == [(0, ResyncReq())]
+        assert not b.peers[0].held
+        assert b.link_drained(0) == []
+        assert b.handle_message(0, gap) == []
+        assert b.link_drained(0) == [(0, ResyncReq())]
 
-    def test_shorter_new_incarnation_costs_one_extra_request(self):
+    def test_shorter_new_incarnation_continues_at_the_held_positions(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         a.local_update(("incr", 1))  # lost with the old incarnation
         second = a.local_update(("incr", 2))[0][1]
         third = a.local_update(("incr", 4))[0][1]
-        req = b.handle_message(0, second)
+        assert b.handle_message(0, second) == []
         assert b.handle_message(0, third) == []
-        assert b.peers[0].resync_hw == 3
+        req = b.link_drained(0)
 
         # a restarts before the request reaches it; the new incarnation's
-        # whole history is shorter than what b saw of the old one.
+        # whole history is shorter than what b saw of the old one.  Its
+        # Hello never reaches b, so the hold is not cleared, and a piece is
+        # known by its position alone: the old incarnation's held pieces
+        # continue the new stream and are integrated, as a piece arriving
+        # in order would be.  (The agent clears the hold on the Hello.)
         a2 = SiteState(0, a.rt)
         sites[0] = a2
         a2.connect_peer(1)
         pending = outbox(0, a2.local_update(("incr", 5)))
         pending.append((1, 0, req[0][1]))
         drain(sites, pending)
-        assert a2.current == b.current == 5
-        assert b.stats.resync_reqs == 2
-        assert a2.stats.fulls_served == 2
+        assert a2.current == b.current == 11
+        assert b.stats.resync_reqs == 1
+        assert a2.stats.fulls_served == 1
         assert not b.peers[0].resync_pending
         assert quiescent(sites, 0)
 
@@ -296,11 +333,81 @@ class TestStreamPosition:
         drain(sites, deque([(0, 1, first), (0, 1, first)]))  # a duplicate
         second = a.local_update(("incr", 2))[0][1]
         third = a.local_update(("incr", 4))[0][1]
-        drain(sites, deque([(0, 1, third), (0, 1, second)]))  # a gap
+        drain(sites, deque([(0, 1, third), (0, 1, second)]))  # a gap, filled
         assert a.current == b.current == 7
         assert quiescent(sites, 0)
-        assert b.stats == SiteStats(resync_reqs=1, fulls_served=0, stale_dropped=1)
-        assert a.stats == SiteStats(resync_reqs=0, fulls_served=1, stale_dropped=0)
+        assert b.stats == SiteStats(resync_reqs=0, fulls_served=0, stale_dropped=1)
+        assert a.stats == SiteStats(resync_reqs=0, fulls_served=0, stale_dropped=0)
+
+
+class TestHold:
+    """A piece past the cursor waits in the hold until the cursor reaches
+    it; it costs no message unless the link drains with the gap open."""
+
+    def test_duplicate_of_a_held_runs_first_piece_keeps_the_run(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        first, second, third, fourth = (a.local_update(("incr", n))[0][1] for n in (1, 2, 4, 8))
+        [(_, run)] = coalesce([(1, second), (1, third), (1, fourth)])
+        for piece in (run, second):  # a shorter piece at the same start
+            assert b.handle_message(0, piece) == []
+        assert b.peers[0].held == {1: run.ops}
+        drain(sites, deque([(0, 1, first)]))
+        assert a.current == b.current == 15
+        assert not b.peers[0].held and b.link_drained(0) == []
+        assert b.stats.resync_reqs == 0
+        assert quiescent(sites, 0)
+
+    def test_piece_past_a_full_hold_asks_at_once(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        a.local_update(("incr", 1))  # lost
+        pieces = [a.local_update(("incr", 1))[0][1] for _ in range(HOLD_LIMIT + 1)]
+        for piece in pieces[:HOLD_LIMIT]:
+            assert b.handle_message(0, piece) == []
+        assert b.handle_message(0, pieces[-1]) == [(0, ResyncReq())]
+        assert len(b.peers[0].held) == HOLD_LIMIT
+        drain(sites, deque([(1, 0, ResyncReq())]))
+        assert a.current == b.current == HOLD_LIMIT + 2
+        assert not b.peers[0].held and b.stats.resync_reqs == 1
+        assert quiescent(sites, 0)
+
+    def test_full_hold_keeps_the_piece_that_reaches_furthest(self):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        a.local_update(("incr", 1))  # lost
+        for _ in range(HOLD_LIMIT):
+            assert b.handle_message(0, a.local_update(("incr", 1))[0][1]) == []
+        [(_, req)] = b.link_drained(0)
+        [(_, full)] = a.handle_message(1, req)
+        # Sent after a cut the Full, arrives before it, with the hold full
+        # and the request out: it has to outlast the Full.
+        late = a.local_update(("incr", 1))[0][1]
+        assert b.handle_message(0, late) == []
+        out = b.handle_message(0, full)
+        assert b.peers[0].recv_len == HOLD_LIMIT + 2
+        assert not b.peers[0].held and b.link_drained(0) == []
+        drain(sites, deque((1, dst, m) for dst, m in out))
+        assert a.current == b.current == HOLD_LIMIT + 2
+        assert quiescent(sites, 0)
+
+    def test_held_piece_whose_overlap_disagrees_asks_from_zero(self):
+        rt = replica_type("counter")
+        b = SiteState(1, rt)
+        b.connect_peer(0)
+
+        def piece(start, *seqs):
+            ops = tuple(rt.op(OpId(0, q), "Incr", 1) for q in seqs)
+            return Increment(kind="counter", sender=0, prefix_len=start, ops=ops)
+
+        b.handle_message(0, piece(0, 1))
+        # Held at position 2; what reaches position 2 later is a different op.
+        assert b.handle_message(0, piece(2, 7)) == []
+        out = b.handle_message(0, piece(1, 2, 3))
+        assert out.count((0, ResyncReq())) == 1
+        assert b.peers[0].recv_len == 3 and not b.peers[0].held
+        assert b.peers[0].resync_pending
+        assert b.current == 3
 
 
 class TestCommitCheck:
@@ -547,6 +654,39 @@ def test_verified_cache_under_shuffled_delivery(kind, nsites, seed):
     assert quiescent(sites, 0)
     for s in sites.values():
         s.check_invariants()
+
+
+def test_lossy_reordering_links_resync_and_converge():
+    """Increments delivered in random order, some of them lost: a gap still
+    open when the network goes idle (every link drained) is repaired by a
+    resync.  A lost tail shows only once a later piece follows it, so the
+    last round loses nothing."""
+    kinds = ["counter", "text", "eset", "queue", "lww", "addmult", "socialmedia"]
+    resyncs = 0
+    for seed in range(20):
+        kind = kinds[seed % len(kinds)]
+        rng = random.Random(f"lossy-{seed}")
+        sites = mesh(kind, 3 + seed % 2)
+        pending = []
+        for rnd in range(6):
+            lossy = rnd < 5
+            for i in sites:
+                intent = random_intent(sites[i].rt, rng, sites[i].current)
+                if intent is not None:
+                    pending.extend(outbox(i, sites[i].local_update(intent)))
+            while pending:
+                while pending:
+                    src, dst, msg = pending.pop(rng.randrange(len(pending)))
+                    if lossy and isinstance(msg, Increment) and rng.random() < 0.2:
+                        continue
+                    pending.extend(outbox(dst, sites[dst].handle_message(src, msg)))
+                for i in sites:
+                    for j in sites[i].peers:
+                        pending.extend(outbox(i, sites[i].link_drained(j)))
+        assert len({s.digest() for s in sites.values()}) == 1, (kind, seed)
+        assert quiescent(sites, 0), (kind, seed)
+        resyncs += sum(s.stats.resync_reqs for s in sites.values())
+    assert resyncs > 0
 
 
 def test_work_per_op_does_not_grow_with_history(monkeypatch):

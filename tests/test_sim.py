@@ -171,6 +171,19 @@ def test_fifo_duplicates_never_resync(kind, sites, topology):
     assert stale > 0
 
 
+@pytest.mark.parametrize("kind", CLEAN_KINDS + ["text"])
+@pytest.mark.parametrize("sites,topology", [(3, "full"), (4, "ring")])
+def test_reordering_links_never_resync(kind, sites, topology):
+    # The network loses nothing, so every piece that overtook another is
+    # held until the other lands, and no link drains with a gap open.
+    for seed in range(4):
+        cfg = SimConfig(kind=kind, sites=sites, ops_per_site=15, seed=seed,
+                        topology=topology, reorder=True, duplicate=True)
+        r = run_trial(cfg)
+        assert r.converged, r.summary()
+        assert r.stats["resync_reqs"] == 0 and r.stats["fulls_served"] == 0, r.stats
+
+
 def test_injected_broken_transform_is_detected(monkeypatch):
     # The harness is only worth anything if it catches a wrong transform:
     # make counter transforms drop the other side's operation.
