@@ -1,18 +1,20 @@
 """Live peer process: one site, a TCP transport, and the line REPL.
 
 Framing is newline-delimited JSON (see wire).  Each connection starts with a
-Hello exchange; the dialer follows up with a resync request so a freshly
-(re)started process pulls the survivor's history immediately.  After that a
-connection's frames are read in batches: one read takes whatever the socket
-holds, and every complete line in it is decoded and handed to the site as
-one batch (``SiteState.handle_batch``, which integrates each run of
-increments that continue each other as one).  TCP delivers in order, so a
-piece held past a gap after a read waits on something that will never come:
-the site is told the link has drained (``SiteState.link_drained``) and asks
-for the peer's history.  Only then do the replies go out.
-All site mutations happen on the event loop, between awaits, so the engine
-needs no locks.  Exit codes: 0 clean quit, 2 configuration error, 3
-protocol fault.
+Hello exchange; a Hello names its sender's incarnation, a nonce drawn at
+start-up, so a restarted process is known by its new stream.  The dialer
+follows up with a resync request, so a freshly (re)started process pulls the
+survivor's history immediately, and then with what the peer lacks of its
+own.  After that a connection's frames are read in batches: one read takes
+whatever the socket holds, and every complete line in it is decoded and
+handed to the site as one batch (``SiteState.handle_batch``, which
+integrates each run of increments that continue each other as one).  TCP
+delivers in order, so a piece held past a gap after a read waits on
+something that will never come: the site is told the link has drained
+(``SiteState.link_drained``) and asks for the peer's history.  Only then
+do the replies go out.  All site mutations happen on the event loop, between
+awaits, so the engine needs no locks.  Exit codes: 0 clean quit, 2
+configuration error, 3 protocol fault.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
+import secrets
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -66,6 +69,7 @@ class Agent:
         self.cfg = cfg
         self.rt = replica_type(cfg.kind)
         self.state = SiteState(cfg.site, self.rt)
+        self.incarnation = secrets.randbits(64)
         self.links: Dict[int, _Link] = {}
         self.exit_code = 0
         self._stopping = asyncio.Event()
@@ -128,7 +132,8 @@ class Agent:
 
     async def _dial(self, addr: Addr) -> int:
         reader, writer = await asyncio.open_connection(*addr, limit=FRAME_LIMIT)
-        hello = Hello(site=self.state.site, kind=self.rt.name, known_len=0)
+        hello = Hello(site=self.state.site, kind=self.rt.name, known_len=0,
+                      incarnation=self.incarnation)
         writer.write(encode_message(self.rt, hello))
         await writer.drain()
         line = await reader.readline()
@@ -145,7 +150,13 @@ class Agent:
             writer.close()
             raise
         self._register(reply.site, reader, writer, addr)
-        await self._send(self.state.request_resync(reply.site))
+        # The request first (a peer may insist on it right after the Hello),
+        # then the backlog: nothing else sends it before the next local change.
+        out = self.state.request_resync(reply.site)
+        backlog = self.state.make_increment(reply.site)
+        if backlog is not None:
+            out.append((reply.site, backlog))
+        await self._send(out)
         log.info("dialed site %d at %s:%d", reply.site, *addr)
         return reply.site
 
@@ -170,10 +181,13 @@ class Agent:
             writer.close()
             return
         reply = Hello(site=self.state.site, kind=self.rt.name,
-                      known_len=self.state.peers[msg.site].recv_len)
+                      known_len=self.state.peers[msg.site].recv_len,
+                      incarnation=self.incarnation)
         writer.write(encode_message(self.rt, reply))
-        await writer.drain()
+        # Replace an old link before any await, so that none of its frames
+        # is integrated after the Hello has reset the cursor.
         self._register(msg.site, reader, writer, (peername[0], peername[1]))
+        await writer.drain()
         log.info("accepted site %d from %s", msg.site, peername)
 
     def _register(self, peer: int, reader: asyncio.StreamReader,

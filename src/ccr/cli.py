@@ -98,7 +98,7 @@ def props_main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--replica", required=True, metavar="KIND")
     ap.add_argument("--trials", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--check", choices=("tp1", "tp2", "sym", "idem", "all"), default="all")
+    ap.add_argument("--check", choices=(*PROPERTIES, "all"), default="all")
     args = ap.parse_args(argv)
 
     checks = PROPERTIES if args.check == "all" else (args.check,)

@@ -11,19 +11,22 @@ on their own, even on cyclic topologies, with no clocks and no coordinator.
 
 Every message from a peer is a piece of one append-only stream: an
 ``Increment`` covers the peer's history from ``prefix_len`` on, a ``Full``
-covers it from position 0.  The part of a piece that overlaps what the cursor
-has already integrated must equal it; then only the ops past the cursor are
-new, so a duplicate or an overtaken piece is dropped by position and an
-overlapping one integrates just its tail.  A piece that starts past the
+covers it from position 0.  Within one incarnation of the peer a position
+always holds the same op, so a piece is known by its position alone: only
+the ops past the cursor are new, a duplicate or an overtaken piece is
+dropped and an overlapping one integrates just its tail.  A restarted peer
+is a new incarnation whose stream starts over; its Hello names the new
+incarnation (a nonce the agent draws at start-up), and the Hello resets the
+cursor's receive side, so the new stream is read from position 0.  A Hello
+that names no incarnation always resets.  A piece that starts past the
 cursor is held (at most ``HOLD_LIMIT`` per peer, keyed by its start) and
 integrated as soon as the cursor reaches it, so a link that reorders fills
 its own gaps without a message.  A resync happens only when the stream is
 broken for good: a gap is still open once nothing older can arrive on the
-link (the driver says so with ``link_drained``), the hold is full, or an
-overlap disagrees (the peer is a new incarnation).  The receiver then asks
-for the peer's full history, which integrates harmlessly (everything known
-cancels), and held pieces continue whatever it brought.  At most one
-request is in flight per peer.
+link (the transport says so with ``link_drained``) or the hold is full.  The
+receiver then asks for the peer's full history, which integrates as the
+piece from position 0, and held pieces continue whatever it brought.  At
+most one request is in flight per peer.
 Because a piece is defined by its position alone, increments of one stream
 that continue each other can be sent and integrated as one (``coalesce``),
 reaching the same state as the pieces one by one.  ``handle_batch`` is the
@@ -47,12 +50,13 @@ receipt and asserts both routes agree.
 The bookkeeping of one op costs the same at any history length.  Appending
 must refuse an op whose uid the history already holds (the overlap check of
 ``core.compose``); a set of every integrated uid turns that check into one
-lookup per new op.  The history is a list that only grows, and every
-per-peer list (the cursor's copy of the peer's history, the remainder) grows
-in place too.  ``history`` is read as a ``HistoryView``: a snapshot of the
-log fixed at its length when taken, which costs O(1) because no entry of the
-log ever changes or goes away.  ``Full`` carries such a view, and a message
-in flight may hold one while this site moves on.
+lookup per new op.  The history is a list that only grows, and the one
+per-peer list, the remainder, grows in place too.  Of the peer's stream a
+cursor keeps only its length (and, under ``verify=True``, the ops the
+reference check needs).  ``history`` is read as a ``HistoryView``: a
+snapshot of the log fixed at its length when taken, which costs O(1)
+because no entry of the log ever changes or goes away.  ``Full`` carries
+such a view, and a message in flight may hold one while this site moves on.
 
 SiteState is a single-threaded state machine: callers must serialize entry
 points (the agent funnels everything through one event loop, the simulator
@@ -99,6 +103,7 @@ class Hello(NamedTuple):
     site: int
     kind: str
     known_len: int  # ops of the receiver's history the sender already holds
+    incarnation: Optional[int] = None  # the sender's start-up nonce
 
 
 class Increment(NamedTuple):
@@ -165,9 +170,12 @@ class HistoryView:
 @dataclass
 class PeerCursor:
     sent_len: int = 0
+    # Ops of the peer's stream integrated, in the incarnation its last Hello
+    # named (None: it named none).
     recv_len: int = 0
-    # The peer's history as far as integrated; extended in place.
-    recv_prefix: List[Operation] = field(default_factory=list)
+    incarnation: Optional[int] = None
+    # Those ops themselves, kept only for SiteState(verify=True).
+    recv_ops: List[Operation] = field(default_factory=list)
     # Local history rewritten into the peer's frame (see module docstring);
     # extended in place.
     remainder: List[Operation] = field(default_factory=list)
@@ -186,19 +194,6 @@ class SiteStats:
     resync_reqs: int = 0  # ResyncReqs sent
     fulls_served: int = 0  # Fulls sent in answer to one
     stale_dropped: int = 0  # peer messages that held nothing new
-
-
-def _novel_tail(cur: PeerCursor, start: int, ops: Patch) -> Optional[Patch]:
-    """The ops of a piece of the peer's stream, starting at position
-    ``start`` no later than the cursor, that lie past what ``cur`` has
-    integrated; None if the overlap disagrees with what it holds there."""
-    have = cur.recv_len
-    if start == have:
-        return ops
-    overlap = min(start + len(ops), have) - start
-    if cur.recv_prefix[start:start + overlap] != list(ops[:overlap]):
-        return None
-    return ops[overlap:]
 
 
 def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
@@ -259,17 +254,22 @@ class SiteState:
 
     # -- peer management ----------------------------------------------------
 
-    def connect_peer(self, peer_site: int, known_len: int = 0) -> None:
+    def connect_peer(self, peer_site: int, known_len: int = 0,
+                     incarnation: Optional[int] = None) -> None:
         """Create or refresh the cursor for a peer (a Hello arrived or we
         dialed).  known_len is the peer's claim of how much of our history it
         already holds; an overclaim (stale or fresh restart on their side)
-        degrades to a resync on their first prefix check.  A request still
-        pending on an old link is forgotten, so the next gap asks again, and
-        pieces held from the old link are dropped."""
-        cur = self.peers.get(peer_site)
-        if cur is None:
-            cur = PeerCursor(remainder=list(self._log))
-            self.peers[peer_site] = cur
+        leaves a gap there, which asks for a resync.  Unless the peer
+        names the incarnation the cursor last saw, its stream starts over:
+        the receive side is reset as if it had sent nothing.  A request
+        still pending on an old link is forgotten, so the next gap asks
+        again, and pieces held from the old link are dropped."""
+        cur = self.peers.setdefault(peer_site, PeerCursor())
+        if incarnation is None or incarnation != cur.incarnation:
+            cur.recv_len = 0
+            cur.remainder = list(self._log)
+            cur.recv_ops = []
+        cur.incarnation = incarnation
         cur.sent_len = min(known_len, len(self._log))
         cur.held.clear()
         cur.resync_pending = False
@@ -319,16 +319,7 @@ class SiteState:
                 raise ProtocolError(
                     f"kind mismatch: peer sends {msg.kind!r}, this site is {self.rt.name!r}"
                 )
-            ops = tuple(msg.ops)
-            if msg.prefix_len != cur.recv_len:  # in order is the common case
-                if msg.prefix_len > cur.recv_len:
-                    return self._hold(from_site, msg.prefix_len, ops)
-                tail = _novel_tail(cur, msg.prefix_len, ops)
-                if tail is None:
-                    return self.request_resync(from_site)
-                ops = tail
-            out = self._integrate(from_site, ops)
-            return self._land_held(from_site, out) if cur.held else out
+            return self._piece(from_site, msg.prefix_len, msg.ops)
         if isinstance(msg, ResyncReq):
             n = len(self._log)
             reply = Full(sender=self.site, ops=HistoryView(self._log, n))
@@ -336,18 +327,14 @@ class SiteState:
             self.stats.fulls_served += 1
             return [(from_site, reply)]
         if isinstance(msg, Full):
-            ops = tuple(msg.ops)
             cur.resync_pending = False
-            tail = _novel_tail(cur, 0, ops)
-            out = self._integrate(from_site, ops if tail is None else tail, restart=tail is None)
-            return self._land_held(from_site, out) if cur.held else out
+            return self._piece(from_site, 0, msg.ops)
         raise ProtocolError(f"unknown message {msg!r}")
 
     def request_resync(self, peer: int) -> List[Tuple[int, Message]]:
         """Ask the peer for its full history unless a request is already
-        out: a dialer asks at once, a broken stream when it is found (an
-        overlap that disagrees, a full hold) or when its link has drained
-        with a gap still open."""
+        out: a dialer asks at once, a broken stream when its hold is full or
+        when its link has drained with a gap still open."""
         cur = self.peers[peer]
         if cur.resync_pending:
             return []
@@ -361,6 +348,21 @@ class SiteState:
         request in flight at most).  Called by the driver, after every read
         of a FIFO link and whenever a reordering link empties."""
         return self.request_resync(peer) if self.peers[peer].held else []
+
+    def _piece(self, peer: int, start: int, ops: Patch) -> List[Tuple[int, Message]]:
+        """Integrate the ops of a piece of the peer's stream that lie past
+        the cursor, then every held piece the cursor reaches; hold the piece
+        if it starts past the cursor."""
+        cur = self.peers[peer]
+        if start > cur.recv_len:
+            return self._hold(peer, start, ops)
+        out = self._integrate(peer, ops[cur.recv_len - start:])
+        if not cur.held:
+            return out
+        while cur.held and min(cur.held) <= cur.recv_len:
+            start = min(cur.held)
+            out += self._integrate(peer, cur.held.pop(start)[cur.recv_len - start:])
+        return coalesce(out)
 
     def _hold(self, peer: int, start: int, ops: Patch) -> List[Tuple[int, Message]]:
         """Keep a piece that starts past the cursor until the gap before it
@@ -379,22 +381,6 @@ class SiteState:
             held[start] = ops
         return []
 
-    def _land_held(self, peer: int, out: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
-        """After an integration from ``peer``, integrate every held piece
-        the cursor has reached, in stream order, each through the overlap
-        check; ``out`` are the replies so far, returned with theirs merged."""
-        cur = self.peers[peer]
-        while cur.held:
-            start = min(cur.held)
-            if start > cur.recv_len:
-                break
-            tail = _novel_tail(cur, start, cur.held.pop(start))
-            if tail is None:
-                out += self.request_resync(peer)
-            else:
-                out += self._integrate(peer, tail)
-        return coalesce(out)
-
     def _handle_hello(self, msg: Hello) -> List[Tuple[int, Message]]:
         if msg.site == self.site:
             raise ProtocolError(f"site id collision: peer also claims site {msg.site}")
@@ -402,15 +388,13 @@ class SiteState:
             raise ProtocolError(
                 f"kind mismatch: peer is {msg.kind!r}, this site is {self.rt.name!r}"
             )
-        self.connect_peer(msg.site, msg.known_len)
+        self.connect_peer(msg.site, msg.known_len, msg.incarnation)
         return []
 
     # -- integration core ----------------------------------------------------
 
-    def _integrate(self, from_site: int, ops: Patch, restart: bool = False) -> List[Tuple[int, Message]]:
-        """Integrate the ops of the peer's stream past the cursor, or with
-        ``restart`` the peer's whole history in place of what the cursor
-        holds (it no longer continues that)."""
+    def _integrate(self, from_site: int, ops: Patch) -> List[Tuple[int, Message]]:
+        """Integrate the ops of the peer's stream that follow the cursor."""
         if not ops:
             self.stats.stale_dropped += 1
             return []
@@ -418,13 +402,11 @@ class SiteState:
         try:
             # The ops apply in the peer's frame, which is never built: the
             # sweep needs no state.
-            fresh, rem = transform_patch(self.rt, None, ops, self._log if restart else cur.remainder)
-            if restart:
-                cur.recv_prefix = []
-            elif self.verify:
-                self._verify_against_direct((*cur.recv_prefix, *ops), fresh, rem)
-            cur.recv_prefix.extend(ops)
-            cur.recv_len = len(cur.recv_prefix)
+            fresh, rem = transform_patch(self.rt, None, ops, cur.remainder)
+            if self.verify:
+                cur.recv_ops.extend(ops)
+                self._verify_against_direct(cur.recv_ops, fresh, rem)
+            cur.recv_len += len(ops)
             cur.remainder = list(rem)
             return self._commit(from_site, fresh)
         except (ProtocolError, SiteFaulted):

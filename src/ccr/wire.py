@@ -68,6 +68,8 @@ def encode_message(rt: ReplicaType, msg: Message) -> bytes:
         }
     elif isinstance(msg, Hello):
         d = {"v": 1, "hello": msg.site, "kind": msg.kind, "known_len": msg.known_len}
+        if msg.incarnation is not None:
+            d["incarnation"] = msg.incarnation
     elif isinstance(msg, ResyncReq):
         d = {"v": 1, "resync": True}
     elif isinstance(msg, Full):
@@ -110,9 +112,10 @@ def decode_message(rt: ReplicaType, line: Union[bytes, str]) -> Message:
         site, kind, known_len = obj["hello"], obj.get("kind"), obj.get("known_len")
         if type(kind) is not str:
             raise WireError(f"hello without kind: {obj!r}")
-        if type(site) is not int or type(known_len) is not int:
-            raise _not_int(obj, "hello", "known_len")
-        return Hello(site, kind, known_len)
+        incarnation = obj.get("incarnation", 0)
+        if type(site) is not int or type(known_len) is not int or type(incarnation) is not int:
+            raise _not_int(obj, "hello", "known_len", "incarnation")
+        return Hello(site, kind, known_len, obj.get("incarnation"))
     if "resync" in obj:
         if obj["resync"] is not True:
             raise WireError(f"bad resync frame: {obj!r}")

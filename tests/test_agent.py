@@ -160,6 +160,66 @@ class TestInProcess:
 
         asyncio.run(flow())
 
+    def test_dialer_sends_its_backlog(self):
+        async def flow():
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(free_port())))
+            pb = free_port()
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(pb)))
+            assert await a.start() is None
+            assert await b.start() is None
+            try:
+                await a._exec("incr 5")
+                await a._exec(f"connect 127.0.0.1:{pb}")
+                # No local change follows the dial: the dial itself sends
+                # what the peer lacks.
+                assert await a._sync(2) and await b._sync(2)
+                assert b.state.digest() == a.state.digest() == "5"
+                assert a.state.peers[1].sent_len == len(a.state.history) == 1
+            finally:
+                await a._shutdown()
+                await b._shutdown()
+
+        asyncio.run(flow())
+
+    def test_redial_keeps_the_cursor_and_restart_resets_it(self):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                  connect=(addr(pa),)))
+            assert await a.start() is None
+            assert await b.start() is None
+            try:
+                await b._exec("incr 2")
+                assert await b._sync(5) and await a._sync(5)
+                assert a.state.peers[1].incarnation == b.incarnation
+                # The same process dials again: a keeps reading its stream
+                # where it was.
+                await b._exec(f"disconnect 127.0.0.1:{pa}")
+                await wait_for(lambda: 1 not in a.links)
+                await b._exec(f"connect 127.0.0.1:{pa}")
+                await wait_for(lambda: 1 in a.links)
+                assert a.state.peers[1].recv_len == 1
+                await b._shutdown()
+                # A new process for site 1 is a new incarnation: its stream
+                # starts over.
+                b2 = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port())))
+                assert b2.incarnation != b.incarnation
+                assert await b2.start() is None
+                try:
+                    await b2._exec(f"connect 127.0.0.1:{pa}")
+                    await wait_for(lambda: a.state.peers[1].incarnation == b2.incarnation)
+                    assert await b2._sync(5) and await a._sync(5)
+                    assert b2.state.digest() == a.state.digest() == "2"
+                    assert a.state.peers[1].recv_len == len(b2.state.history) == 1
+                finally:
+                    await b2._shutdown()
+            finally:
+                await a._shutdown()
+                await b._shutdown()
+
+        asyncio.run(flow())
+
     def test_kind_mismatch_refused(self):
         async def flow():
             pa = free_port()

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from ccr.cli import props_main
 from ccr.core import OpId
 from ccr.props import PROPERTIES, Counterexample, check_one, check_properties, shrink_counterexample
 from ccr.replicas import replica_type
@@ -88,6 +91,12 @@ class TestHarness:
         report = check_properties("counter", 50, 1, checks=("tp1", "idem"))
         assert set(report.passes) == {"tp1", "idem"}
         assert report.ok()
+
+    @pytest.mark.parametrize("check", PROPERTIES)
+    def test_cli_checks_each_property(self, check, capsys):
+        assert props_main(["--replica", "counter", "--trials", "20", "--check", check]) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert list(report["passes"]) == [check]
 
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError):

@@ -106,29 +106,29 @@ class TestRecovery:
         assert b.current == 7
         assert b.peers[0].recv_len == 1
 
-    def test_disagreeing_stale_increment_resync_full(self):
+    def test_restarted_peer_stream_starts_over_at_the_hello(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         drain(sites, outbox(0, a.local_update(("incr", 7))))
-        assert a.peers[1].recv_prefix == list(b.history)
+        assert a.peers[1].recv_len == len(b.history) == 1
 
         # b restarts; its new stream starts over at a position a's cursor
-        # has passed, with ops that disagree with what it holds there.
+        # has passed.  The Hello (here: connect_peer, naming no incarnation)
+        # resets a's cursor, so the new stream is read from position 0 and
+        # nothing needs a resync.
         b2 = SiteState(1, b.rt)
         sites[1] = b2
         b2.connect_peer(0)
         a.connect_peer(1, known_len=0)
+        assert a.peers[1].recv_len == 0 and a.peers[1].remainder == list(a.history)
         inc = b2.local_update(("incr", 2))[0][1]
-        assert inc.prefix_len < a.peers[1].recv_len
-        replies = a.handle_message(1, inc)
-        assert replies == [(1, ResyncReq())]
-        full_out = b2.handle_message(0, replies[0][1])
-        assert len(full_out) == 1
-        full = full_out[0][1]
-        assert isinstance(full, Full) and full.ops == b2.history
-        drain(sites, outbox(0, a.handle_message(1, full)))
+        assert inc.prefix_len == 0
+        pending = deque([(1, 0, inc)])
+        pending.extend(outbox(1, b2.request_resync(0)))  # the dialer's request
+        drain(sites, pending)
         assert a.current == b2.current == 9
-        assert a.peers[1].recv_prefix == list(b2.history)
+        assert a.peers[1].recv_len == len(b2.history)
+        assert a.stats.resync_reqs == 0 and a.stats.stale_dropped == 0
         assert quiescent(sites, 0)
 
     def test_reordered_increments_recover(self):
@@ -159,9 +159,9 @@ class TestRecovery:
         b.connect_peer(0, known_len=0)
         replies = b.handle_message(0, Hello(site=0, kind="counter", known_len=0))
         assert replies == []
-        # Dial flow: the restarted side asks for everything.  The recovered
-        # ops echo back on a stream whose numbering restarted from zero, so
-        # one more resync round settles the cursors; drain the lot.
+        # Dial flow: the restarted side asks for everything.  b's cursor was
+        # reset at the Hello, so the recovered ops that echo back on the new
+        # stream are read from position 0 and cancel.
         full = b.handle_message(0, ResyncReq())[0][1]
         pending = deque(outbox(0, a2.handle_message(1, full)))
         drain(sites, pending)
@@ -182,7 +182,7 @@ class TestRecovery:
             b.handle_message(0, again)
         assert b.faulted is not None
 
-    def test_full_from_restarted_peer_replaces_prefix(self):
+    def test_full_from_restarted_peer_integrates_from_position_zero(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         pending = deque(outbox(0, a.local_update(("incr", 4))))
@@ -192,16 +192,20 @@ class TestRecovery:
         sites[1] = b2
         b2.connect_peer(0)
         a.connect_peer(1, known_len=0)
+        assert a.peers[1].recv_len == 0
         pending = deque(outbox(1, b2.local_update(("incr", 2))))
-        pending.append((1, 0, ResyncReq()))
+        # Each side asks the other for its whole history.
+        pending.extend([(1, 0, ResyncReq()), (0, 1, ResyncReq())])
         drain(sites, pending)
         assert a.current == b2.current == 6
+        assert b2.stats.fulls_served == 1
+        assert a.peers[1].recv_len == len(b2.history)
         assert quiescent(sites, 0)
 
 
 class TestStreamPosition:
-    """Every peer message is a piece of the peer's stream; only a gap left
-    open once the link has drained, a full hold or a disagreeing overlap
+    """Every peer message is a piece of the peer's stream, known by its
+    position; only a gap left open once the link has drained or a full hold
     resyncs, and one request at a time."""
 
     def test_overlapping_increment_integrates_its_tail(self, monkeypatch):
@@ -215,7 +219,7 @@ class TestStreamPosition:
         echo = b.handle_message(0, overlapping)
         assert calls[0] == 1  # the tail's one op, at commit
         assert b.current == 3
-        assert b.peers[0].recv_prefix == list(a.history)
+        assert b.peers[0].recv_len == len(a.history) == 2
         assert [type(m) for _, m in echo] == [Increment]
         assert b.stats.resync_reqs == 0
 
@@ -298,7 +302,7 @@ class TestStreamPosition:
         assert b.handle_message(0, gap) == []
         assert b.link_drained(0) == [(0, ResyncReq())]
 
-    def test_shorter_new_incarnation_continues_at_the_held_positions(self):
+    def test_new_incarnation_drops_the_old_held_pieces(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         a.local_update(("incr", 1))  # lost with the old incarnation
@@ -306,24 +310,22 @@ class TestStreamPosition:
         third = a.local_update(("incr", 4))[0][1]
         assert b.handle_message(0, second) == []
         assert b.handle_message(0, third) == []
-        req = b.link_drained(0)
+        assert b.link_drained(0) == [(0, ResyncReq())]
 
-        # a restarts before the request reaches it; the new incarnation's
-        # whole history is shorter than what b saw of the old one.  Its
-        # Hello never reaches b, so the hold is not cleared, and a piece is
-        # known by its position alone: the old incarnation's held pieces
-        # continue the new stream and are integrated, as a piece arriving
-        # in order would be.  (The agent clears the hold on the Hello.)
+        # a restarts before the request reaches it, and the request goes
+        # with the old link.  The new incarnation's whole history is
+        # shorter than what b saw of the old one; its Hello resets b's
+        # cursor and drops the old incarnation's held pieces, which would
+        # otherwise continue the new stream at their positions.
         a2 = SiteState(0, a.rt)
         sites[0] = a2
-        a2.connect_peer(1)
-        pending = outbox(0, a2.local_update(("incr", 5)))
-        pending.append((1, 0, req[0][1]))
-        drain(sites, pending)
-        assert a2.current == b.current == 11
+        assert b.handle_message(0, Hello(site=0, kind="counter", known_len=0, incarnation=2)) == []
+        a2.handle_message(1, Hello(site=1, kind="counter", known_len=0, incarnation=1))
+        assert not b.peers[0].held and not b.peers[0].resync_pending
+        drain(sites, outbox(0, a2.local_update(("incr", 5))))
+        assert a2.current == b.current == 5
         assert b.stats.resync_reqs == 1
-        assert a2.stats.fulls_served == 1
-        assert not b.peers[0].resync_pending
+        assert a2.stats.fulls_served == 0
         assert quiescent(sites, 0)
 
     def test_stats_count_one_duplicate_and_one_gap(self):
@@ -391,23 +393,97 @@ class TestHold:
         assert a.current == b.current == HOLD_LIMIT + 2
         assert quiescent(sites, 0)
 
-    def test_held_piece_whose_overlap_disagrees_asks_from_zero(self):
-        rt = replica_type("counter")
-        b = SiteState(1, rt)
-        b.connect_peer(0)
 
-        def piece(start, *seqs):
-            ops = tuple(rt.op(OpId(0, q), "Incr", 1) for q in seqs)
-            return Increment(kind="counter", sender=0, prefix_len=start, ops=ops)
 
-        b.handle_message(0, piece(0, 1))
-        # Held at position 2; what reaches position 2 later is a different op.
-        assert b.handle_message(0, piece(2, 7)) == []
-        out = b.handle_message(0, piece(1, 2, 3))
-        assert out.count((0, ResyncReq())) == 1
-        assert b.peers[0].recv_len == 3 and not b.peers[0].held
-        assert b.peers[0].resync_pending
-        assert b.current == 3
+class TestIncarnation:
+    """A Hello naming the incarnation the cursor last saw keeps the cursor;
+    any other Hello starts the peer's stream over at position 0."""
+
+    def hello(self, site, incarnation, known_len=0, kind="counter"):
+        return Hello(site=site, kind=kind, known_len=known_len, incarnation=incarnation)
+
+    def test_same_incarnation_keeps_the_cursor(self, monkeypatch):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        b.handle_message(0, self.hello(0, 7))
+        for n in (1, 2):
+            drain(sites, outbox(0, a.local_update(("incr", n))))
+        a.local_update(("incr", 4))  # lost with the link
+
+        # b redials a: a's Hello names the incarnation b's cursor saw, so the
+        # Full that answers b's request integrates only its tail.
+        b.handle_message(0, self.hello(0, 7, known_len=a.peers[1].recv_len))
+        assert b.peers[0].recv_len == 2
+        [(_, req)] = b.request_resync(0)
+        [(_, full)] = a.handle_message(1, req)
+        assert len(full.ops) == 3
+        calls = count_applies(monkeypatch)
+        drain(sites, outbox(1, b.handle_message(0, full)))
+        assert calls[0] == 1  # the tail's one op, at commit
+        assert a.current == b.current == 7
+        assert b.peers[0].recv_len == 3
+        assert quiescent(sites, 0)
+
+    @pytest.mark.parametrize("incarnation", [8, None], ids=["new", "absent"])
+    def test_other_incarnation_resets_the_cursor(self, incarnation):
+        sites = mesh("counter", 2)
+        a, b = sites[0], sites[1]
+        b.handle_message(0, self.hello(0, 7))
+        drain(sites, outbox(0, a.local_update(("incr", 1))))
+        a.local_update(("incr", 2))  # lost
+        gap = a.local_update(("incr", 4))[0][1]
+        assert b.handle_message(0, gap) == []
+        assert b.link_drained(0) == [(0, ResyncReq())]
+
+        b.handle_message(0, self.hello(0, incarnation))
+        cur = b.peers[0]
+        assert (cur.recv_len, cur.incarnation) == (0, incarnation)
+        assert cur.remainder == list(b.history)
+        assert not cur.held and not cur.resync_pending
+        # Read from position 0, the stream's whole history cancels what b
+        # already holds and adds the rest.
+        [(_, full)] = a.handle_message(1, ResyncReq())
+        drain(sites, outbox(1, b.handle_message(0, full)))
+        assert a.current == b.current == 7
+        assert b.peers[0].recv_len == 3
+        assert quiescent(sites, 0)
+
+    @pytest.mark.parametrize("kind", ["counter", "text"])
+    def test_verify_agrees_across_a_reset(self, kind):
+        rng = random.Random(f"reset-{kind}")
+        sites = mesh(kind, 2, verify=True)
+        a, b = sites[0], sites[1]
+        def edit(site):
+            intent = random_intent(site.rt, rng, site.current)
+            return outbox(site.site, site.local_update(intent))
+
+        a.handle_message(1, self.hello(1, 1, kind=kind))
+        for _ in range(3):
+            drain(sites, edit(a) + edit(b))
+        assert len(a.peers[1].recv_ops) == a.peers[1].recv_len > 0
+        assert edit(b)  # lost with b
+        b2 = SiteState(1, b.rt, verify=True)
+        sites[1] = b2
+        # b2 dials a: Hellos both ways, then its request.
+        a.handle_message(1, self.hello(1, 2, kind=kind))
+        b2.handle_message(0, self.hello(0, 5, a.peers[1].recv_len, kind))
+        assert a.peers[1].recv_ops == [] and a.peers[1].recv_len == 0
+        pending = outbox(1, b2.request_resync(0))
+        pending.extend(edit(a))
+        drain(sites, pending)
+        drain(sites, edit(b2) + edit(a))
+        assert a.digest() == b2.digest()
+        assert a.peers[1].recv_ops == list(b2.history)
+        assert quiescent(sites, 0)
+        for s in sites.values():
+            s.check_invariants()
+
+    def test_unverified_cursor_keeps_no_ops(self):
+        sites = mesh("counter", 2)
+        for n in range(20):
+            drain(sites, outbox(n % 2, sites[n % 2].local_update(("incr", n + 1))))
+        assert all(s.peers[1 - i].recv_len == 20 for i, s in sites.items())
+        assert all(not cur.recv_ops for s in sites.values() for cur in s.peers.values())
 
 
 class TestCommitCheck:
@@ -585,7 +661,6 @@ class TestCoalesce:
         for peer, cur in one_by_one.peers.items():
             other = at_once.peers[peer]
             assert other.remainder == cur.remainder
-            assert other.recv_prefix == cur.recv_prefix
             assert other.recv_len == cur.recv_len
         at_once.check_invariants()
 
@@ -687,6 +762,73 @@ def test_lossy_reordering_links_resync_and_converge():
         assert quiescent(sites, 0), (kind, seed)
         resyncs += sum(s.stats.resync_reqs for s in sites.values())
     assert resyncs > 0
+
+
+@pytest.mark.parametrize("kind", ["counter", "text"])
+def test_restarted_site_converges_on_reordering_links(kind):
+    """Three sites edit over links that reorder and duplicate; one restarts
+    mid-run with nothing, as a new incarnation.  What was in flight on its
+    old links is dropped, as a closed socket drops it; it dials each peer
+    (Hellos both ways, its request, its backlog) and edits again once each
+    request is answered.  Every run converges, and the restarted site never
+    reuses the sequence number of an op that outlived its old incarnation."""
+    rt = replica_type(kind)
+    outlived = 0
+    for seed in range(100):
+        rng = random.Random(f"restart-{kind}-{seed}")
+        sites = {i: SiteState(i, rt, verify=True) for i in range(3)}
+        incarnation = {i: rng.getrandbits(64) for i in sites}
+        pending = []
+
+        def dial(i, j):
+            sites[j].handle_message(i, Hello(i, kind, 0, incarnation[i]))
+            back = Hello(j, kind, sites[j].peers[i].recv_len, incarnation[j])
+            sites[i].handle_message(j, back)
+            out = sites[i].request_resync(j)
+            backlog = sites[i].make_increment(j)
+            pending.extend(outbox(i, out + ([(j, backlog)] if backlog else [])))
+
+        def deliver():
+            src, dst, msg = pending.pop(rng.randrange(len(pending)))
+            pending.extend(outbox(dst, sites[dst].handle_message(src, msg)))
+            if rng.random() < 0.1:
+                pending.append((src, dst, msg))  # delivered once more, later
+            if not any(p[:2] == (src, dst) for p in pending):
+                pending.extend(outbox(dst, sites[dst].link_drained(src)))
+
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            dial(i, j)
+        restarted, restart_at = rng.randrange(3), rng.randrange(2, 7)
+        mine = set()  # uids of the ops the restarted site makes after it
+        for step in range(10):
+            if step == restart_at:
+                pending = [p for p in pending if restarted not in p[:2]]
+                sites[restarted] = SiteState(restarted, rt, verify=True)
+                incarnation[restarted] = rng.getrandbits(64)
+                survivors = {op.uid for s in sites.values() for op in s.history
+                             if op.uid.site == restarted}
+                outlived += len(survivors)
+                for j in sites:
+                    if j != restarted:
+                        dial(restarted, j)
+            for i, s in sites.items():
+                if any(cur.resync_pending for cur in s.peers.values()):
+                    continue  # catching up: its own old ops may still come back
+                intent = random_intent(rt, rng, s.current)
+                if intent is not None:
+                    pending.extend(outbox(i, s.local_update(intent)))
+                    if i == restarted and step >= restart_at:
+                        mine.add(s.history[-1].uid)
+            for _ in range(rng.randrange(len(pending) + 1)):
+                deliver()
+        while pending:
+            deliver()
+        assert len({s.digest() for s in sites.values()}) == 1, seed
+        assert quiescent(sites, 0), seed
+        assert not mine & survivors, seed
+        for s in sites.values():
+            s.check_invariants()
+    assert outlived > 0
 
 
 def test_work_per_op_does_not_grow_with_history(monkeypatch):

@@ -34,6 +34,14 @@ class TestGoldenFrames:
         msg = Hello(site=0, kind="text", known_len=0)
         assert encode_message(TEXT, msg) == b'{"v":1,"hello":0,"kind":"text","known_len":0}\n'
 
+    def test_hello_with_incarnation(self):
+        # Present only when named, after the pinned fields.
+        msg = Hello(site=0, kind="text", known_len=0, incarnation=2**64 - 1)
+        assert encode_message(TEXT, msg) == (
+            b'{"v":1,"hello":0,"kind":"text","known_len":0,'
+            b'"incarnation":18446744073709551615}\n'
+        )
+
     def test_resync(self):
         assert encode_message(TEXT, ResyncReq()) == b'{"v":1,"resync":true}\n'
 
@@ -112,6 +120,8 @@ class TestRoundTrips:
 
     def test_all_variants(self):
         self.round(TEXT, Hello(site=4, kind="text", known_len=17))
+        self.round(TEXT, Hello(site=4, kind="text", known_len=17, incarnation=0))
+        self.round(TEXT, Hello(site=4, kind="text", known_len=17, incarnation=2**64 - 1))
         self.round(TEXT, ResyncReq())
         self.round(TEXT, Increment(kind="text", sender=1, prefix_len=0,
                                    ops=(TEXT.op(OpId(1, 1), "Ins", 0, "héllo"),
@@ -251,6 +261,10 @@ class TestRejects:
 
     def test_bool_is_not_int(self):
         self.bad(b'{"v":1,"hello":true,"kind":"counter","known_len":0}')
+
+    @pytest.mark.parametrize("inc", ["true", "1.0", '"7"', "null"])
+    def test_incarnation_must_be_an_integer(self, inc):
+        self.bad('{"v":1,"hello":0,"kind":"counter","known_len":0,"incarnation":%s}' % inc)
 
     @pytest.mark.parametrize("v", ["true", "1.0"])
     def test_version_must_be_integer_1(self, v):
