@@ -5,10 +5,13 @@ Hello exchange; a Hello names its sender's incarnation, a nonce drawn at
 start-up, so a restarted process is known by its new stream.  The dialer
 follows up with a resync request, so a freshly (re)started process pulls the
 survivor's history immediately, and then with what the peer lacks of its
-own.  After that a connection's frames are read in batches: one read takes
-whatever the socket holds, and every complete line in it is decoded and
-handed to the site as one batch (``SiteState.handle_batch``, which
-integrates each run of increments that continue each other as one).  TCP
+own.  A local edit waits until every request this site has out on a live
+link is answered (at most ``SYNC_TIMEOUT``; past that it is refused), since
+a restarted process learns only from the Full how far its old incarnation
+numbered its ops.  After that a connection's frames are read in batches:
+one read takes whatever the socket holds, and every complete line in it is
+decoded and handed to the site as one batch (``SiteState.handle_batch``,
+which integrates each run of increments that continue each other as one).  TCP
 delivers in order, so a piece held past a gap after a read waits on
 something that will never come: the site is told the link has drained
 (``SiteState.link_drained``) and asks for the peer's history.  Only then
@@ -22,12 +25,10 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-import secrets
 import sys
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import CcrError, IntentError, WireError
 from .protocol import Hello, Message, ProtocolError, SiteFaulted, SiteState
@@ -44,12 +45,13 @@ log = logging.getLogger("ccr.agent")
 FRAME_LIMIT = 16 * 1024 * 1024
 # Most bytes taken from a socket in one read; a batch is whatever it held.
 READ_CHUNK = 64 * 1024
-SYNC_TIMEOUT = 10.0  # seconds a bare ``sync`` waits for its barrier
+# Seconds a bare ``sync`` waits for its barrier, and an edit for the answers
+# to the resyncs this site asked for.
+SYNC_TIMEOUT = 10.0
 QUIET_WINDOW = 0.2  # seconds without traffic after which ``sync`` sees quiet
 
 
-@dataclass
-class AgentConfig:
+class AgentConfig(NamedTuple):
     site: int
     kind: str
     listen: Addr
@@ -57,11 +59,15 @@ class AgentConfig:
     script: Optional[str] = None
 
 
-@dataclass
 class _Link:
-    writer: asyncio.StreamWriter
-    addr: Addr
-    task: Optional[asyncio.Task] = field(default=None)
+    """One live connection to a peer and the task that reads it."""
+
+    __slots__ = ("writer", "addr", "task")
+
+    def __init__(self, writer: asyncio.StreamWriter, addr: Addr):
+        self.writer = writer
+        self.addr = addr
+        self.task: Optional[asyncio.Task] = None
 
 
 class Agent:
@@ -69,7 +75,7 @@ class Agent:
         self.cfg = cfg
         self.rt = replica_type(cfg.kind)
         self.state = SiteState(cfg.site, self.rt)
-        self.incarnation = secrets.randbits(64)
+        self.incarnation = int.from_bytes(os.urandom(8), "big")
         self.links: Dict[int, _Link] = {}
         self.exit_code = 0
         self._stopping = asyncio.Event()
@@ -197,7 +203,7 @@ class Agent:
             if old.task is not None:
                 old.task.cancel()
             old.writer.close()
-        link = _Link(writer=writer, addr=addr)
+        link = _Link(writer, addr)
         link.task = asyncio.create_task(self._read_loop(peer, reader))
         self.links[peer] = link
 
@@ -322,11 +328,11 @@ class Agent:
             if cmd.verb == "sync":
                 timeout = cmd.args[0] if cmd.args[0] is not None else SYNC_TIMEOUT
                 if not await self._sync(timeout):
-                    print("sync timed out", flush=True)
-                    if self.cfg.script is not None:
-                        self.exit_code = 3
-                        return True
+                    return self._timed_out("sync timed out")
                 return False
+            if cmd.verb == "update" and not await self._caught_up(SYNC_TIMEOUT):
+                return self._timed_out("update refused: a resync asked of a peer "
+                                       "is still unanswered")
             _, out, msgs = repl_eval(self.state, cmd)
             if out:
                 print(out, flush=True)
@@ -337,6 +343,14 @@ class Agent:
         except IntentError as e:
             print(str(e), flush=True)
         return False
+
+    def _timed_out(self, what: str) -> bool:
+        """Report a wait that ran out; a script stops there, exit code 3."""
+        print(what, flush=True)
+        if self.cfg.script is None:
+            return False
+        self.exit_code = 3
+        return True
 
     def _disconnect(self, addr: Addr) -> bool:
         for peer, link in list(self.links.items()):
@@ -349,6 +363,19 @@ class Agent:
                 return False
         print(f"not connected to {addr[0]}:{addr[1]}", flush=True)
         return False
+
+    async def _caught_up(self, timeout: float) -> bool:
+        """Wait until every resync this site asked for on a live link is
+        answered.  A restarted site learns from the peer's Full how far its
+        own old sequence numbers went; an edit made before then would reuse
+        the uid of an op its peers already hold."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while any(self.state.peers[peer].resync_pending for peer in self.links):
+            if loop.time() >= deadline:
+                return False
+            await asyncio.sleep(0.02)
+        return True
 
     async def _sync(self, timeout: float) -> bool:
         """Barrier: wait until nothing is unsent and the wire has gone quiet."""

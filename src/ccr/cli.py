@@ -1,4 +1,10 @@
-"""Console entry points: ccr-agent, ccr-sim, ccr-props."""
+"""Console entry points: ccr-agent, ccr-sim, ccr-props.
+
+Each entry point imports the modules it runs inside its own function, so a
+process pays the start-up of only what it uses: ``ccr-agent`` never loads
+the simulator or the property checker, and ``ccr-sim`` and ``ccr-props``
+never load ``asyncio``.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +14,11 @@ import sys
 import time
 from typing import List, Optional
 
-from .agent import AgentConfig, run_agent
-from .props import PROPERTIES, check_properties
-from .repl import parse_addr
-from .sim import SimConfig, run_trial
-
 
 def agent_main(argv: Optional[List[str]] = None) -> int:
+    from .agent import AgentConfig, run_agent
+    from .repl import parse_addr
+
     ap = argparse.ArgumentParser(prog="ccr-agent",
                                  description="Run one replication site with a REPL.")
     ap.add_argument("--site", type=int, required=True, help="numeric site id, unique per deployment")
@@ -39,6 +43,8 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
 
 
 def sim_main(argv: Optional[List[str]] = None) -> int:
+    from .sim import SimConfig, run_trial
+
     ap = argparse.ArgumentParser(prog="ccr-sim",
                                  description="Deterministic multi-site convergence trials.")
     ap.add_argument("--replica", required=True, metavar="KIND")
@@ -93,6 +99,8 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
 
 
 def props_main(argv: Optional[List[str]] = None) -> int:
+    from .props import PROPERTIES, check_properties
+
     ap = argparse.ArgumentParser(prog="ccr-props",
                                  description="Randomized transform-property checks.")
     ap.add_argument("--replica", required=True, metavar="KIND")

@@ -17,9 +17,8 @@ first counterexample, shrunk by dropping trailing ops while it still fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from .core import CcrError, OpId, Patch, apply_patch, confluent_rep, transform_patch
 from .replicas import replica_type
@@ -28,8 +27,7 @@ from .sim import random_intent
 PROPERTIES = ("tp1", "sym", "idem", "comm", "tp2")
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     prop: str
     trial: int
     kind: str
@@ -53,15 +51,19 @@ class Counterexample:
         return "\n".join(lines)
 
 
-@dataclass
 class PropertyReport:
-    kind: str
-    trials: int
-    seed: int
-    checks: Tuple[str, ...]
-    passes: Dict[str, int] = field(default_factory=dict)
-    failures: Dict[str, int] = field(default_factory=dict)
-    first_failure: Optional[Counterexample] = None
+    """Pass and fail counts per property, filled in as the trials run."""
+
+    __slots__ = ("kind", "trials", "seed", "checks", "passes", "failures", "first_failure")
+
+    def __init__(self, kind: str, trials: int, seed: int, checks: Tuple[str, ...]):
+        self.kind = kind
+        self.trials = trials
+        self.seed = seed
+        self.checks = checks
+        self.passes: Dict[str, int] = dict.fromkeys(checks, 0)
+        self.failures: Dict[str, int] = dict.fromkeys(checks, 0)
+        self.first_failure: Optional[Counterexample] = None
 
     def ok(self) -> bool:
         return not any(self.failures.values())
@@ -189,9 +191,7 @@ def check_properties(kind: str, trials: int, seed: int,
             raise ValueError(f"unknown property {prop!r}")
     rt = replica_type(kind)
     rng = random.Random(f"{kind}:{seed}:props")
-    report = PropertyReport(kind=kind, trials=trials, seed=seed, checks=tuple(checks),
-                            passes={c: 0 for c in checks},
-                            failures={c: 0 for c in checks})
+    report = PropertyReport(kind, trials, seed, tuple(checks))
     for trial in range(trials):
         base = _reachable_state(rt, rng)
         p = _random_patch(rt, rng, base, site=0)

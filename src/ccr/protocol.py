@@ -65,8 +65,8 @@ is sequential by construction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import (
@@ -167,33 +167,41 @@ class HistoryView:
         return f"HistoryView({tuple(self)!r})"
 
 
-@dataclass
 class PeerCursor:
-    sent_len: int = 0
-    # Ops of the peer's stream integrated, in the incarnation its last Hello
-    # named (None: it named none).
-    recv_len: int = 0
-    incarnation: Optional[int] = None
-    # Those ops themselves, kept only for SiteState(verify=True).
-    recv_ops: List[Operation] = field(default_factory=list)
-    # Local history rewritten into the peer's frame (see module docstring);
-    # extended in place.
-    remainder: List[Operation] = field(default_factory=list)
-    # Pieces of the peer's stream that start past recv_len, by start, the
-    # longer one kept when two share it; at most HOLD_LIMIT.  While any is
-    # held, a gap before it is open.
-    held: Dict[int, Patch] = field(default_factory=dict)
-    # A ResyncReq is out and its Full has not come back yet.
-    resync_pending: bool = False
+    """What this site knows of one peer's stream and what it has sent it."""
+
+    __slots__ = ("sent_len", "recv_len", "incarnation", "recv_ops", "remainder",
+                 "held", "resync_pending")
+
+    def __init__(self) -> None:
+        self.sent_len = 0
+        # Ops of the peer's stream integrated, in the incarnation its last
+        # Hello named (None: it named none).
+        self.recv_len = 0
+        self.incarnation: Optional[int] = None
+        # Those ops themselves, kept only for SiteState(verify=True).
+        self.recv_ops: List[Operation] = []
+        # Local history rewritten into the peer's frame (see module
+        # docstring); extended in place.
+        self.remainder: List[Operation] = []
+        # Pieces of the peer's stream that start past recv_len, by start,
+        # the longer one kept when two share it; at most HOLD_LIMIT.  While
+        # any is held, a gap before it is open.
+        self.held: Dict[int, Patch] = {}
+        # A ResyncReq is out and its Full has not come back yet.
+        self.resync_pending = False
 
 
-@dataclass
-class SiteStats:
-    """Counts of what this site has done; ``ccr-sim`` sums them over sites."""
+class SiteStats(SimpleNamespace):
+    """Counts of what this site has done; ``ccr-sim`` sums them over sites.
+    ``vars()`` gives them by name, always in this order; two are equal when
+    every count is."""
 
-    resync_reqs: int = 0  # ResyncReqs sent
-    fulls_served: int = 0  # Fulls sent in answer to one
-    stale_dropped: int = 0  # peer messages that held nothing new
+    def __init__(self, resync_reqs: int = 0,  # ResyncReqs sent
+                 fulls_served: int = 0,  # Fulls sent in answer to one
+                 stale_dropped: int = 0):  # peer messages that held nothing new
+        super().__init__(resync_reqs=resync_reqs, fulls_served=fulls_served,
+                         stale_dropped=stale_dropped)
 
 
 def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import shlex
-from dataclasses import asdict, dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from .core import CcrError, IntentError
 from .protocol import Message, SiteState
@@ -25,8 +24,7 @@ class ReplError(CcrError):
     pass
 
 
-@dataclass(frozen=True)
-class ReplCommand:
+class ReplCommand(NamedTuple):
     verb: str
     args: Tuple[Any, ...] = ()
     # set only for verb == "update"
@@ -88,7 +86,7 @@ def repl_eval(state: SiteState, cmd: ReplCommand) -> Tuple[SiteState, str, List[
             return state, "(empty)", []
         return state, "\n".join(repr(op) for op in state.history), []
     if cmd.verb == "stats":
-        return state, json.dumps(asdict(state.stats), separators=(",", ":")), []
+        return state, json.dumps(vars(state.stats), separators=(",", ":")), []
     if cmd.verb == "peers":
         if not state.peers:
             return state, "(none)", []

@@ -15,17 +15,19 @@ nothing older can still arrive, and the receiver is told so
 (``SiteState.link_drained``) and asks for a resync if a gap is still open.
 The network loses nothing, so on its own it never needs that resync.
 
-A trial converges when the queue drains, every cursor is caught up, and all
-site digests are equal.  Exceeding the event budget is reported as
-nonterminating, which is a different failure than divergence.
+``run_trial`` takes a ``SimConfig`` and returns a ``TrialReport``, both
+named tuples; the report's ``stats`` sums every site's ``SiteStats``, its
+counters in their order.  A trial converges when the queue drains, every
+cursor is caught up, and all site digests are equal.  Exceeding the event
+budget is reported as nonterminating, which is a different failure than
+divergence.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import CcrError, IntentError, OpId
 from .protocol import SiteState, SiteStats, quiescent
@@ -33,8 +35,7 @@ from .replicas import replica_type
 from .replicas.base import ReplicaType
 
 
-@dataclass
-class SimConfig:
+class SimConfig(NamedTuple):
     kind: str
     sites: int = 3
     ops_per_site: int = 20
@@ -46,8 +47,7 @@ class SimConfig:
     max_events: int = 1_000_000
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     seed: int
     converged: bool
     reason: str  # ok | divergence | nonterminating | fault: ...
@@ -55,8 +55,8 @@ class TrialReport:
     messages_sent: int
     max_inflight: int
     events: int
-    script: List[Tuple[int, int, Tuple[Any, ...]]] = field(default_factory=list)
-    stats: Dict[str, int] = field(default_factory=dict)  # SiteStats summed over sites
+    script: List[Tuple[int, int, Tuple[Any, ...]]]  # the intents that took effect
+    stats: Dict[str, int]  # SiteStats summed over sites, in its order
 
     def summary(self) -> str:
         flag = "ok" if self.converged else f"FAIL ({self.reason})"
@@ -162,8 +162,8 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
         digests = {i: s.digest() for i, s in sites.items()}
         if reason == "ok" and len(set(digests.values())) != 1:
             reason = "divergence"
-        stats = {f.name: sum(getattr(s.stats, f.name) for s in sites.values())
-                 for f in fields(SiteStats)}
+        stats = {name: sum(getattr(s.stats, name) for s in sites.values())
+                 for name in vars(SiteStats())}
         return TrialReport(cfg.seed, reason == "ok", reason, digests,
                            messages_sent, max_inflight, events, recorded, stats)
 

@@ -2,7 +2,8 @@
 
 Key order is part of the format (golden tests pin exact bytes), so message
 dicts are built in schema order and serialized without key sorting, by one
-encoder shared by every frame.  Decoding is strict about structure and
+encoder shared by every frame.  Every frame is a fresh tree of dicts and
+lists, so the encoder skips the circular-reference check.  Decoding is strict about structure and
 types; anything off raises WireError so a bad frame drops the connection
 instead of corrupting a replica.  An integer field, the version included,
 holds an int that is not a boolean (``core.is_int``).
@@ -29,7 +30,8 @@ from .core import Operation, Patch, WireError, decode_uid, is_int
 from .protocol import Full, Hello, Increment, Message, ResyncReq
 from .replicas.base import ReplicaType
 
-_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
+                           check_circular=False).encode
 _scan = make_scanner(json.JSONDecoder())
 _skip_space = WHITESPACE.match
 

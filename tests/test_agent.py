@@ -220,6 +220,74 @@ class TestInProcess:
 
         asyncio.run(flow())
 
+    def test_restarted_agent_edits_only_after_its_catch_up(self):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                  connect=(addr(pa),)))
+            assert await a.start() is None
+            assert await b.start() is None
+            try:
+                await b._exec("incr 3")
+                assert await b._sync(5) and await a._sync(5)
+                await b._shutdown()
+                # A new process for site 1 edits before its dial's Full has
+                # landed: the edit waits for it, so it does not reuse the
+                # uid of the old incarnation's op.
+                b2 = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                       connect=(addr(pa),)))
+                assert await b2.start() is None
+                try:
+                    assert b2.state.peers[0].resync_pending
+                    await b2._exec("incr 4")
+                    assert b2.state.history[-1].uid == OpId(1, 2)
+                    assert await b2._sync(5) and await a._sync(5)
+                    assert a.state.digest() == b2.state.digest() == "7"
+                finally:
+                    await b2._shutdown()
+            finally:
+                await a._shutdown()
+                await b._shutdown()
+
+        asyncio.run(flow())
+
+    def test_edit_refused_when_the_catch_up_never_comes(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(agent_mod, "SYNC_TIMEOUT", 0.3)
+        script = tmp_path / "edit.ccr"
+        script.write_text("incr 1\nshow\n")
+        rt = replica_type("counter")
+
+        async def flow():
+            closed = asyncio.Event()
+
+            async def mute(reader, writer):
+                # Greets, then never answers the dialer's request.
+                try:
+                    await reader.readline()
+                    writer.write(encode_message(rt, Hello(0, rt.name, 0)))
+                    await reader.read()
+                finally:
+                    writer.close()
+                    closed.set()
+
+            server = await asyncio.start_server(mute, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                  connect=(addr(port),), script=str(script)))
+            try:
+                assert await b.run() == 3
+                await asyncio.wait_for(closed.wait(), 5)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return b
+
+        b = asyncio.run(flow())
+        assert b.state.history == ()
+        assert capsys.readouterr().out.splitlines() == [
+            "update refused: a resync asked of a peer is still unanswered"]
+
     def test_kind_mismatch_refused(self):
         async def flow():
             pa = free_port()

@@ -153,6 +153,8 @@ class TestEval:
         s.request_resync(1)
         out, msgs = evl(s, "stats")
         assert json.loads(out) == {"resync_reqs": 1, "fulls_served": 0, "stale_dropped": 0}
+        # Byte-exact: the counters keep their order.
+        assert out == '{"resync_reqs":1,"fulls_served":0,"stale_dropped":0}'
         assert "\n" not in out and msgs == []
 
     def test_history_empty(self):
