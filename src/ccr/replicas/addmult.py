@@ -39,7 +39,7 @@ class AddMultType(ReplicaType):
         verb, n = intent
         if verb not in self.verbs:
             raise IntentError(f"addmult has no intent {verb!r}")
-        if not isinstance(n, int):
+        if not is_int(n):
             raise IntentError("addmult amount must be an integer")
         if verb == "add":
             if n == 0:

@@ -75,6 +75,8 @@ class TupleType(ReplicaType):
         verb, i, inner_intent = intent
         if verb != "at":
             raise IntentError(f"tuple has no intent {verb!r}")
+        if not is_int(i):
+            raise IntentError("tuple index must be an integer")
         if not (0 <= i < len(self.components)):
             raise IntentError(f"tuple index {i} out of range 0..{len(self.components) - 1}")
         inner = self.components[i].gen_effective(state[i], inner_intent, uid)

@@ -36,7 +36,7 @@ class CounterType(ReplicaType):
         verb, n = intent
         if verb not in self.verbs:
             raise IntentError(f"counter has no intent {verb!r}")
-        if not isinstance(n, int):
+        if not is_int(n):
             raise IntentError("counter amount must be an integer")
         if n == 0:
             return None

@@ -3,8 +3,9 @@
 Deleted characters stay in the model, hidden, so a delete never shifts a
 position (the Tombstone Transformation Functions of Oster, Urso, Molli &
 Imine, CollaborateCom 2006).  The state, a ``TextState``, is the *model*:
-every character ever inserted, in order, and a mask marking each one visible
-or hidden; it reads as the visible text.  Op positions are model positions:
+every character ever inserted, in order, and an int whose bits mark each one
+visible or hidden; it reads as the visible text.  Op positions are model
+positions:
 
   Ins k s   inserts s, visible, before model character k.
   Del k n   hides model characters [k, k+n).  Characters already hidden stay
@@ -36,6 +37,13 @@ Transformation rules, for concurrent a and b on the same state:
 Fragments keep the parent op's uid: they are the same logical edit in
 pieces.  Hidden characters are never reclaimed, so the model grows with
 every insert.
+
+Cost per op: the visible length is carried through ``apply``, the bits are
+updated with shifts and masks, and a view position is mapped onto the model
+by bisecting the bits with popcounts.  These int operations still touch the
+whole model, but 30 characters to an int digit, so next to them what
+grows with the history is the copy of the model string an insert makes,
+and ``str()`` of a state, which builds the visible text.
 """
 
 from __future__ import annotations
@@ -45,29 +53,36 @@ from itertools import compress
 from ..core import ApplyError, IntentError, WireError, is_int
 from .base import ReplicaType, random_word
 
-VISIBLE, HIDDEN = b"\x01", b"\x00"
+_BYTE_MASK = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class TextState:
     """The state of a text replica: the model, every character ever
-    inserted, and ``mask``, one byte per model character, 1 visible and 0
-    hidden.
+    inserted, and ``bits``, an int whose bit i is set when model character
+    i is visible.
 
     It stands for the visible text in ``len``, truthiness, indexing,
     slicing, ``str`` and comparison with a plain ``str``, which is accepted
-    as a state with nothing hidden.  The text and its length are worked out
-    on first use and kept, since a state never changes.  Two
-    TextStates are equal only when their models agree, hidden characters
-    included.
+    as a state with nothing hidden.  ``len`` is the visible length carried
+    through ``apply``, so it reads no bits.  The text is worked out on first
+    use from ``mask``, a bytes view of the bits, and kept, since a state
+    never changes.  Two TextStates are equal only when their models and bits
+    agree, hidden characters included.
     """
 
-    __slots__ = ("model", "mask", "_text", "_len")
+    __slots__ = ("model", "bits", "_len", "_text")
 
-    def __init__(self, model: str, mask: bytes):
+    def __init__(self, model: str, bits: int, length: int):
         self.model = model
-        self.mask = mask
+        self.bits = bits
+        self._len = length
         self._text = None
-        self._len = None
+
+    @property
+    def mask(self) -> bytes:
+        """One byte per model character, 1 visible and 0 hidden."""
+        # A sentinel bit above the model keeps the leading hidden ones.
+        return bin(self.bits | 1 << len(self.model))[:2:-1].encode().translate(_BYTE_MASK)
 
     def __str__(self):
         if self._text is None:
@@ -75,8 +90,6 @@ class TextState:
         return self._text
 
     def __len__(self):
-        if self._len is None:
-            self._len = self.mask.count(1)
         return self._len
 
     def __getitem__(self, index):
@@ -84,7 +97,7 @@ class TextState:
 
     def __eq__(self, other):
         if isinstance(other, TextState):
-            return self.model == other.model and self.mask == other.mask
+            return self.model == other.model and self.bits == other.bits
         if isinstance(other, str):
             return str(self) == other
         return NotImplemented
@@ -97,26 +110,28 @@ class TextState:
 
 
 def _model(state):
+    """(model, bits, visible length) of a TextState or a plain str."""
     if isinstance(state, TextState):
-        return state.model, state.mask
-    return state, VISIBLE * len(state)
+        return state.model, state.bits, state._len
+    return state, (1 << len(state)) - 1, len(state)
 
 
-def _model_index(mask: bytes, j: int) -> int:
+def _model_index(bits: int, j: int) -> int:
     """Model position of visible character j (0-based), which must exist.
 
-    Bisects on counts of visible bytes, each count over the half still in
-    question, so the whole search reads the mask about once.
+    Bisects on popcounts, each over the half of the bits still in question,
+    so the whole search reads about twice the int's size.
     """
-    lo, hi, before = 0, len(mask), 0  # j+1 visible in [0, hi), <= j in [0, lo)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        c = mask.count(1, lo, mid)
-        if before + c > j:
-            hi = mid
+    at, width = 0, bits.bit_length()  # visible character j is in [at, at+width)
+    while width > 1:
+        half = width >> 1
+        low = bits & ((1 << half) - 1)
+        c = low.bit_count()
+        if c > j:
+            bits, width = low, half
         else:
-            lo, before = mid, before + c
-    return lo
+            bits, width, at, j = bits >> half, width - half, at + half, j - c
+    return at
 
 
 class TextType(ReplicaType):
@@ -124,21 +139,24 @@ class TextType(ReplicaType):
     verbs = {"ins": ("position", "text"), "del": ("position", "length")}
 
     def initial(self):
-        return TextState("", b"")
+        return TextState("", 0, 0)
 
     def apply(self, state, op):
-        model, mask = _model(state)
+        model, bits, length = _model(state)
         tag = op.body[0]
         if tag == "Ins":
             _, k, s = op.body
             if not (0 <= k <= len(model)):
                 raise ApplyError(f"insert position {k} out of range 0..{len(model)}")
-            return TextState(model[:k] + s + model[k:], mask[:k] + VISIBLE * len(s) + mask[k:])
+            m = len(s)
+            bits = (bits & ((1 << k) - 1)) | (((1 << m) - 1) << k) | ((bits >> k) << (k + m))
+            return TextState(model[:k] + s + model[k:], bits, length + m)
         if tag == "Del":
             _, k, n = op.body
             if n < 1 or k < 0 or k + n > len(model):
                 raise ApplyError(f"delete range [{k},{k + n}) out of range 0..{len(model)}")
-            return TextState(model, mask[:k] + HIDDEN * n + mask[k + n:])
+            span = bits & (((1 << n) - 1) << k)  # the visible characters it hides
+            return TextState(model, bits ^ span, length - span.bit_count())
         raise ApplyError(f"unknown text op {tag!r}")
 
     def transform_prim(self, a, b):
@@ -185,7 +203,7 @@ class TextType(ReplicaType):
         verb = intent[0]
         if verb == "ins":
             _, k, s = intent
-            if not isinstance(k, int) or not isinstance(s, str):
+            if not is_int(k) or not isinstance(s, str):
                 raise IntentError("usage: ins <pos> <text>")
             if not (0 <= k <= len(state)):
                 raise IntentError(f"insert position {k} out of range 0..{len(state)}")
@@ -195,15 +213,15 @@ class TextType(ReplicaType):
             return self.op(uid, "Ins", at, s)
         if verb == "del":
             _, k, n = intent
-            if not isinstance(k, int) or not isinstance(n, int):
+            if not is_int(k) or not is_int(n):
                 raise IntentError("usage: del <pos> <count>")
             if n == 0:
                 return None
             if n < 0 or k < 0 or k + n > len(state):
                 raise IntentError(f"delete range [{k},{k + n}) out of range 0..{len(state)}")
-            mask = _model(state)[1]
-            start = _model_index(mask, k)
-            return self.op(uid, "Del", start, _model_index(mask, k + n - 1) + 1 - start)
+            bits = _model(state)[1]
+            start = _model_index(bits, k)
+            return self.op(uid, "Del", start, _model_index(bits >> start, n - 1) + 1)
         raise IntentError(f"text has no intent {verb!r}")
 
     def draw_intent(self, rng, state):

@@ -20,6 +20,7 @@ from ccr.protocol import (
     coalesce,
     quiescent,
 )
+from ccr.replicas.text import TextState
 from ccr.sim import random_intent
 from support import count_applies
 
@@ -939,6 +940,30 @@ def test_relayed_op_copies_no_remainder():
         peak[n] = _median_alloc_peak([lambda inc=inc: b.handle_message(0, inc) for inc in incs])
     assert peak[8000] < 1.25 * peak[1000], peak
     assert len(b.peers[2].remainder) == len(b.history)
+
+
+def test_text_ops_never_build_the_byte_mask(monkeypatch):
+    # len, apply and gen_effective work on the visibility bits; only str()
+    # (digests, display) derives the one-byte-per-character mask.
+    reads = [0]
+    real = TextState.mask
+
+    def counted(state):
+        reads[0] += 1
+        return real.fget(state)
+
+    monkeypatch.setattr(TextState, "mask", property(counted))
+    sites = mesh("text", 2)
+    rng = random.Random(5)
+    for _ in range(150):
+        pending = deque()
+        for i in (0, 1):  # both edit before either hears the other
+            intent = random_intent(sites[i].rt, rng, sites[i].current)
+            pending += outbox(i, sites[i].local_update(intent))
+        drain(sites, pending)
+    assert len(sites[0].history) > 250
+    assert reads[0] == 0
+    assert sites[0].digest() == sites[1].digest() and reads[0] > 0
 
 
 def test_text_invariants_compare_the_hidden_model():

@@ -1,12 +1,34 @@
 """Per-kind state machines: initial states, generation guards, application
 guards, canonical digests."""
 
+import random
+
 import pytest
 
 from ccr import ApplyError, IntentError, OpId, apply_patch
+from ccr.protocol import SiteState
 from ccr.replicas import replica_type
 
 U = OpId(0, 1)
+
+
+@pytest.mark.parametrize("kind, first, intent", [
+    ("counter", None, ("incr", True)),
+    ("addmult", None, ("mult", False)),
+    ("tuple<counter,text>", None, ("at", False, ("incr", 2))),
+    ("text", ("ins", 0, "ab"), ("ins", True, "x")),
+    ("text", ("ins", 0, "ab"), ("del", 0, True)),
+], ids=["counter", "addmult", "tuple-index", "text-position", "text-length"])
+def test_boolean_intent_arguments_are_refused(kind, first, intent):
+    # A boolean committed as an integer would go out as JSON true/false,
+    # which every peer's decoder refuses, dropping the link.
+    site = SiteState(0, replica_type(kind))
+    if first:
+        site.local_update(first)
+    made = len(site.history)
+    with pytest.raises(IntentError):
+        site.local_update(intent)
+    assert len(site.history) == made
 
 
 class TestCounter:
@@ -166,6 +188,99 @@ class TestText:
         assert hid_b == "a" == hid_c
         assert hid_b != hid_c
         assert self.rt.digest(hid_b) == self.rt.digest(hid_c) == '"a"'
+
+
+class RefText:
+    """Reference text model: a list of [character, visible] cells."""
+
+    def __init__(self, text):
+        self.cells = [[c, True] for c in text]
+
+    def apply(self, body):
+        if body[0] == "Ins":
+            _, k, s = body
+            self.cells[k:k] = [[c, True] for c in s]
+        else:
+            _, k, n = body
+            for cell in self.cells[k:k + n]:
+                cell[1] = False
+
+    def model(self):
+        return "".join(c for c, _ in self.cells)
+
+    def mask(self):
+        return bytes(v for _, v in self.cells)
+
+    def view(self):
+        return "".join(c for c, v in self.cells if v)
+
+    def gen(self, intent):
+        """The op body an effective view intent should become."""
+        at = [i for i, (_, v) in enumerate(self.cells) if v]
+        if intent[0] == "ins":
+            _, k, s = intent
+            return ("Ins", 0 if k == 0 else at[k - 1] + 1, s)
+        _, k, n = intent
+        return ("Del", at[k], at[k + n - 1] + 1 - at[k])
+
+
+class TestTextAgainstReference:
+    rt = replica_type("text")
+
+    def _model_op(self, rng, ref):
+        """A raw model op: inserts at both ends, and deletes that may lie
+        wholly over runs already hidden."""
+        size = len(ref.cells)
+        r = rng.random()
+        if size == 0 or r < 0.45:
+            k = rng.choice((0, size, rng.randint(0, size)))
+            return ("Ins", k, "".join(rng.choice("xyz") for _ in range(rng.randint(1, 4))))
+        hidden = [i for i, (_, v) in enumerate(ref.cells) if not v]
+        if hidden and r < 0.6:
+            k = rng.choice(hidden)
+            n = 1
+            while k + n < size and not ref.cells[k + n][1]:
+                n += 1
+            return ("Del", k, n)
+        k = rng.randrange(size)
+        return ("Del", k, rng.randint(1, min(6, size - k)))
+
+    def _check(self, state, ref):
+        assert state.model == ref.model() and state.mask == ref.mask()
+        self._check_view(state, ref)
+
+    def _check_view(self, state, ref):
+        assert len(state) == len(ref.view()) and str(state) == ref.view()
+        assert state == ref.view() and bool(state) == bool(ref.view())
+        for intent in (("ins", 0, "q"), ("ins", len(state), "q")):
+            assert self.rt.gen_effective(state, intent, U).body == ref.gen(intent)
+        if len(state):
+            k = len(state) // 2
+            for intent in (("ins", k, "q"), ("del", 0, len(state)), ("del", k, len(state) - k)):
+                assert self.rt.gen_effective(state, intent, U).body == ref.gen(intent)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_ops_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        start = "" if seed % 3 == 0 else "".join(rng.choice("abc") for _ in range(rng.randint(1, 40)))
+        state, ref = start, RefText(start)  # a plain str is a state too
+        self._check_view(state, ref)
+        for step in range(300):
+            if rng.random() < 0.5 or not len(ref.view()):
+                body = self._model_op(rng, ref)
+            else:
+                intent = self.rt.draw_intent(rng, state)
+                body = self.rt.gen_effective(state, intent, U).body
+                assert body == ref.gen(intent)
+            new = self.rt.apply(state, self.rt.op(OpId(0, step + 1), *body))
+            before = ref.mask()
+            ref.apply(body)
+            if body[0] == "Del" and not any(before[body[1]:body[1] + body[2]]):
+                assert len(new) == len(state) and new == state  # nothing left to hide
+            else:
+                assert new != state
+            state = new
+            self._check(state, ref)
 
 
 class TestComposites:
