@@ -11,9 +11,12 @@ a restarted process learns only from the Full how far its old incarnation
 numbered its ops.  After that a connection's frames are read in batches:
 one read takes whatever the socket holds, and every complete line in it is
 decoded and handed to the site as one batch (``SiteState.handle_batch``,
-which integrates each run of increments that continue each other as one).  TCP
-delivers in order, so a piece held past a gap after a read waits on
-something that will never come: the site is told the link has drained
+which integrates each run of increments that continue each other as one).
+The batch leaves its echo to the peer unsent, and the agent sends it at once
+(``SiteState.flush``): a read's echo goes out as the one frame it always
+was, and a peer waiting on an answer is not kept waiting.  TCP delivers in
+order, so a piece held past a gap after a read waits on something that will
+never come: the site is told the link has drained
 (``SiteState.link_drained``) and asks for the peer's history.  Only then
 do the replies go out.  All site mutations happen on the event loop, between
 awaits, so the engine needs no locks.  Exit codes: 0 clean quit, 2
@@ -242,9 +245,10 @@ class Agent:
 
     async def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
         """Decode complete frames up to the first bad one, integrate them as
-        one batch, ask for a resync if a gap is left open, then send the
-        replies.  A bad frame still lets the replies of the frames before it
-        go out before it drops the link; a fault sends nothing."""
+        one batch, flush the echo the batch deferred, ask for a resync if a
+        gap is left open, then send the replies.  A bad frame still lets the
+        replies of the frames before it go out, echo included, before it
+        drops the link; a fault sends nothing."""
         msgs: List[Message] = []
         bad: Optional[CcrError] = None
         try:
@@ -256,9 +260,10 @@ class Agent:
             bad = e
         try:
             out = self.state.handle_batch(peer, msgs)
+            out += self.state.flush(peer)
             out += self.state.link_drained(peer)
         except ProtocolError as e:
-            out, bad = e.replies, e
+            out, bad = e.replies + self.state.flush(peer), e
         await self._send(out)
         if bad is not None:
             raise bad

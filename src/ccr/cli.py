@@ -60,7 +60,7 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
     t0 = time.monotonic()
     failed: List[dict] = []
     reasons: dict = {}
-    messages = 0
+    messages = ops = 0
     max_inflight = 0
     stats: dict = {}
     for i in range(args.trials):
@@ -70,6 +70,7 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
         rep = run_trial(cfg)
         reasons[rep.reason] = reasons.get(rep.reason, 0) + 1
         messages += rep.messages_sent
+        ops += len(rep.script)
         max_inflight = max(max_inflight, rep.max_inflight)
         for name, n in rep.stats.items():
             stats[name] = stats.get(name, 0) + n
@@ -92,7 +93,7 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
         "topology": args.topology, "reorder": args.reorder, "duplicate": args.duplicate,
         "seed": args.seed, "trials": args.trials, "converged": ok,
         "failed": failed, "reasons": reasons,
-        "messages_sent": messages, "max_inflight": max_inflight, "stats": stats,
+        "ops": ops, "messages_sent": messages, "max_inflight": max_inflight, "stats": stats,
         "elapsed_s": round(elapsed, 3),
     }))
     return 0 if not failed else 1

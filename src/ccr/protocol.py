@@ -4,10 +4,12 @@ Every site keeps its full history as one patch from the shared base state.
 A message to a peer carries a suffix of that history plus ``prefix_len``, the
 number of ops the receiver is assumed to hold already.  The receiver rebuilds
 the sender's cumulative patch, transforms it against its own history, applies
-whatever is genuinely new, and rebroadcasts.  Operations the receiver already
-integrated cancel by uid during transformation, so a patch with nothing new
-transforms to the identity and the broadcast stops there: updates terminate
-on their own, even on cyclic topologies, with no clocks and no coordinator.
+whatever is genuinely new, and rebroadcasts it: at once to every other
+peer, and to the sender perhaps later (see the echo below).  Operations the
+receiver already integrated cancel by uid during transformation, so a patch
+with nothing new transforms to the identity and the broadcast stops there:
+updates terminate on their own, even on cyclic topologies, with no clocks
+and no coordinator.
 
 Every message from a peer is a piece of one append-only stream: an
 ``Increment`` covers the peer's history from ``prefix_len`` on, a ``Full``
@@ -33,6 +35,18 @@ reaching the same state as the pieces one by one.  ``handle_batch`` is the
 one receive path for a batch of a peer's messages (the agent's read, the
 simulator's delivery on one link at one tick): it integrates each such run
 with one ``handle_message`` and merges the replies the same way.
+
+The rebroadcast to the sender, the echo, brings it nothing new: it holds
+those ops already, and they cancel by uid on arrival.  It is sent only
+because the sender's cursor of this site's stream must reach the end of it.
+The echo has no deadline: ``make_increment`` sends the whole unsent suffix,
+so the next increment to that peer carries it anyway.
+``handle_message`` sends it at once; ``handle_batch`` leaves it unsent, and
+``flush`` sends it later unless a local op or a relay has carried it by
+then.  Leaving it is always safe: every other append is broadcast at once,
+so what is unsent to the batch's sender is only its own ops, in this site's
+frame.  The simulator flushes a few ticks after the delivery; the agent
+flushes after every read.
 
 Transforming the peer's whole cumulative patch against the whole local
 history on every receipt would cost |M|x|H| per message.  The cursor
@@ -248,6 +262,7 @@ class SiteState:
         self.faulted: Optional[str] = None
         self.verify = verify
         self.stats = SiteStats()
+        self._deferring: Optional[int] = None  # sender of the batch in hand
 
     @property
     def history(self) -> HistoryView:
@@ -302,18 +317,33 @@ class SiteState:
     def handle_batch(self, from_site: int, msgs: Sequence[Message]) -> List[Tuple[int, Message]]:
         """Handle a peer's messages in order, each run of increments that
         continue each other as one; returns the replies, contiguous
-        increments to each peer merged.  A ``ProtocolError`` keeps what the
-        messages before it committed and carries their replies."""
-        if len(msgs) == 1:
-            return self.handle_message(from_site, msgs[0])
+        increments to each peer merged.  The echo to ``from_site`` is not
+        among them: it stays unsent until ``flush`` or a later increment to
+        that peer.  A ``ProtocolError`` keeps what the messages before it
+        committed and carries their replies."""
         out: List[Tuple[int, Message]] = []
+        self._deferring = from_site
         try:
+            if len(msgs) == 1:
+                return self.handle_message(from_site, msgs[0])
             for _, msg in coalesce([(from_site, m) for m in msgs]):
                 out += self.handle_message(from_site, msg)
         except ProtocolError as e:
             e.replies = coalesce(out)
             raise
+        finally:
+            self._deferring = None
         return coalesce(out)
+
+    def deferred(self, peer: int) -> bool:
+        """Some of the history is unsent to ``peer``: ``flush`` sends it."""
+        return self.peers[peer].sent_len < len(self._log)
+
+    def flush(self, peer: int) -> List[Tuple[int, Message]]:
+        """The increment ``handle_batch`` deferred to ``peer``, unless a
+        later one has carried it already."""
+        m = self.make_increment(peer)
+        return [] if m is None else [(peer, m)]
 
     def handle_message(self, from_site: int, msg: Message) -> List[Tuple[int, Message]]:
         self._check_ok()
@@ -450,6 +480,8 @@ class SiteState:
     def _broadcast(self) -> List[Tuple[int, Message]]:
         out = []
         for peer in self.peers:
+            if peer == self._deferring:
+                continue
             m = self.make_increment(peer)
             if m is not None:
                 out.append((peer, m))

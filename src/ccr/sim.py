@@ -14,6 +14,10 @@ its receiver until the gap fills; when a delivery leaves its link empty,
 nothing older can still arrive, and the receiver is told so
 (``SiteState.link_drained``) and asks for a resync if a gap is still open.
 The network loses nothing, so on its own it never needs that resync.
+A delivery leaves its echo (the receiver's rebroadcast of the sender's own
+ops back to the sender) unsent; the trial flushes it ``ECHO_DELAY`` ticks
+later, at most one flush pending per link, and by then a local op or a relay
+to that peer has often carried it, so the flush sends nothing.
 
 ``run_trial`` takes a ``SimConfig`` and returns a ``TrialReport``, both
 named tuples; the report's ``stats`` sums every site's ``SiteStats``, its
@@ -27,12 +31,15 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .core import CcrError, IntentError, OpId
 from .protocol import SiteState, SiteStats, quiescent
 from .replicas import replica_type
 from .replicas.base import ReplicaType
+
+# Ticks a deferred echo waits for a later increment on its link to carry it.
+ECHO_DELAY = 4
 
 
 class SimConfig(NamedTuple):
@@ -128,6 +135,7 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
     # (time, src, dst) -> the messages due then on that link, in send order
     due: Dict[Tuple[int, int, int], List[Any]] = {}
     on_link: Dict[Tuple[int, int], int] = {}  # (src, dst) -> messages in flight
+    flushing: Set[Tuple[int, int]] = set()  # (site, peer) with a flush scheduled
     inflight = 0
     max_inflight = 0
     messages_sent = 0
@@ -190,16 +198,25 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
                     recorded.append((now, site, intent))
                 for dst, msg in out:
                     send(now, site, dst, msg)
-            else:
+            elif kind == "deliver":
                 _, src, dst = payload
                 batch = due.pop(payload)
                 inflight -= len(batch)
                 left = on_link[src, dst] = on_link[src, dst] - len(batch)
-                out = sites[dst].handle_batch(src, batch)
+                s = sites[dst]
+                out = s.handle_batch(src, batch)
                 if not left:
-                    out += sites[dst].link_drained(src)
+                    out += s.link_drained(src)
                 for nxt, reply in out:
                     send(now, dst, nxt, reply)
+                if (dst, src) not in flushing and s.deferred(src):
+                    flushing.add((dst, src))
+                    push(now + ECHO_DELAY, "flush", (dst, src))
+            else:
+                flushing.discard(payload)
+                site, peer = payload
+                for _, msg in sites[site].flush(peer):
+                    send(now, site, peer, msg)
         except CcrError as e:
             fault = f"fault: {e}"
             break

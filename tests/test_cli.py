@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from ccr.cli import sim_main
+from ccr.sim import SimConfig, run_trial
 from support import AGENT_ENV
 
 
@@ -33,3 +34,17 @@ def test_sim_report_stats_keep_their_order(capsys):
     assert sim_main(["--replica", "counter", "--trials", "2", "--reorder"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert list(report["stats"]) == ["resync_reqs", "fulls_served", "stale_dropped"]
+
+
+def test_sim_report_counts_effective_ops(capsys):
+    # Messages per op read straight off the report: ``ops`` sums the
+    # intents that took effect, over every trial.
+    assert sim_main(["--replica", "text", "--trials", "3", "--seed", "4",
+                     "--topology", "ring", "--reorder"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    trials = [run_trial(SimConfig(kind="text", seed=4 + i, topology="ring", reorder=True))
+              for i in range(3)]
+    assert report["ops"] == sum(len(r.script) for r in trials) > 0
+    assert report["messages_sent"] == sum(r.messages_sent for r in trials)
+    keys = list(report)
+    assert keys.index("ops") + 1 == keys.index("messages_sent")

@@ -681,15 +681,22 @@ class TestHandleBatch:
         b.connect_peer(2)
         return b
 
+    @staticmethod
+    def by_peer(replies):
+        return sorted(replies, key=lambda pair: pair[0])
+
     @pytest.mark.parametrize("msg_kind", ["Increment", "ResyncReq", "Full"])
     def test_one_message_batch_is_handle_message(self, msg_kind):
+        # The batch defers the echo to its sender; with that flushed it
+        # sends what handle_message sends at once.
         a, incs = self.sender(3)
         msg = {"Increment": incs[0], "ResyncReq": ResyncReq(),
                "Full": Full(sender=0, ops=a.history)}[msg_kind]
         by_batch, by_message = self.receiver(), self.receiver()
         for b in (by_batch, by_message):
             b.local_update(("incr", 10))
-        assert by_batch.handle_batch(0, [msg]) == by_message.handle_message(0, msg)
+        replies = by_batch.handle_batch(0, [msg]) + by_batch.flush(0)
+        assert self.by_peer(replies) == self.by_peer(by_message.handle_message(0, msg))
         assert by_batch.history == by_message.history
         assert by_batch.stats == by_message.stats
 
@@ -700,10 +707,62 @@ class TestHandleBatch:
         with pytest.raises(ProtocolError, match="kind mismatch") as err:
             b.handle_batch(0, [incs[0], incs[1], other, incs[2]])
         [(_, run)] = coalesce([(0, incs[0]), (0, incs[1])])
-        assert err.value.replies == ref.handle_message(0, run)
-        assert [peer for peer, _ in err.value.replies] == [0, 2]
+        assert [peer for peer, _ in err.value.replies] == [2]
+        replies = err.value.replies + b.flush(0)
+        assert self.by_peer(replies) == self.by_peer(ref.handle_message(0, run))
         assert b.history == ref.history and b.current == 3
         assert b.peers[0].recv_len == 2
+
+
+class TestDeferredEcho:
+    """``handle_batch`` leaves unsent the echo of a peer's ops to that
+    peer; the next increment to the peer carries it, and ``flush`` sends
+    it only if none has."""
+
+    def setup_method(self):
+        self.sites = mesh("counter", 3)
+        a = self.sites[0]
+        self.incs = [m for i in range(2) for peer, m in a.local_update(("incr", i + 1))
+                     if peer == 1]
+
+    def test_batch_defers_only_the_echo(self):
+        b = self.sites[1]
+        out = b.handle_batch(0, self.incs)
+        assert [(peer, [op.uid for op in m.ops]) for peer, m in out] == [
+            (2, [OpId(0, 1), OpId(0, 2)])]
+        assert b.deferred(0) and b.peers[0].sent_len == 0
+        [(peer, echo)] = b.flush(0)
+        assert peer == 0 and echo.prefix_len == 0 and len(echo.ops) == 2
+        assert not b.deferred(0) and b.flush(0) == []
+
+    def test_next_local_op_carries_the_echo(self):
+        b = self.sites[1]
+        b.handle_batch(0, self.incs)
+        to_0 = [m for peer, m in b.local_update(("incr", 7)) if peer == 0]
+        assert [[op.uid for op in m.ops] for m in to_0] == [[OpId(0, 1), OpId(0, 2), OpId(1, 1)]]
+        assert to_0[0].prefix_len == 0
+        assert not b.deferred(0) and b.flush(0) == []
+        # The echoed ops cancel at their origin; only the new one lands.
+        a = self.sites[0]
+        a.handle_message(1, to_0[0])
+        assert [op.uid for op in a.history] == [OpId(0, 1), OpId(0, 2), OpId(1, 1)]
+        assert a.current == 10
+
+    def test_relay_from_a_third_peer_carries_the_echo(self):
+        b, c = self.sites[1], self.sites[2]
+        b.handle_batch(0, self.incs)
+        [from_c] = [m for peer, m in c.local_update(("incr", 5)) if peer == 1]
+        out = dict(b.handle_batch(2, [from_c]))
+        assert [op.uid for op in out[0].ops] == [OpId(0, 1), OpId(0, 2), OpId(2, 1)]
+        assert 2 not in out and b.deferred(2)
+        assert not b.deferred(0) and b.flush(0) == []
+
+    def test_full_answering_a_request_in_the_batch_leaves_nothing_deferred(self):
+        b = self.sites[1]
+        out = b.handle_batch(0, [*self.incs, ResyncReq()])
+        [full] = [m for peer, m in out if peer == 0]
+        assert isinstance(full, Full) and len(full.ops) == 2
+        assert not b.deferred(0) and b.flush(0) == []
 
 
 @pytest.mark.parametrize("kind,nsites", [("counter", 3), ("text", 2), ("eset", 3), ("queue", 3),

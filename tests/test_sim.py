@@ -72,8 +72,8 @@ def test_two_site_text_converges_under_faults():
 
 
 def test_three_site_text_converges_where_positional_diverged():
-    # Seed 40 is the first that TestTextDivergence finds under the
-    # positional tables.
+    # Seed 40 is one of those on which TestTextDivergence finds the
+    # positional tables diverge.
     cfg = SimConfig(kind="text", sites=3, ops_per_site=5, seed=40,
                     topology="full", reorder=True, duplicate=True)
     r = run_trial(cfg)
@@ -125,6 +125,40 @@ def test_fifo_link_delivers_runs_as_one_batch(monkeypatch):
             and all(isinstance(m, Increment) for m in msgs)
             and len(coalesce([(src, m) for m in msgs])) == 1]
     assert runs
+
+
+def test_echo_waits_for_a_later_increment(monkeypatch):
+    # Only site 0 edits, one op every 3 ticks on a FIFO link, so each of
+    # its increments reaches site 1 alone.  Site 1 echoes no batch at once:
+    # one flush sends whatever echoes have piled up by then.
+    received = {0: 0, 1: 0}
+    real = SiteState.handle_batch
+
+    def counting(self, from_site, msgs):
+        received[self.site] += sum(isinstance(m, Increment) for m in msgs)
+        return real(self, from_site, msgs)
+
+    monkeypatch.setattr(SiteState, "handle_batch", counting)
+    cfg = SimConfig(kind="counter", sites=2, ops_per_site=10, seed=0, topology="full")
+    r = run_trial(cfg, script=[(3 * i, 0, ("incr", 1)) for i in range(10)])
+    assert r.converged, r.summary()
+    assert len(r.script) == received[1] == 10
+    assert 0 < received[0] < received[1]
+
+
+def test_faulty_ring_message_budget():
+    # The faulty-ring shape: a 4-site ring that reorders and duplicates.
+    # Deferred echoes keep it under 5.2 messages per effective op (6.3 when
+    # every delivery echoed at once).
+    messages = ops = 0
+    for kind in CLEAN_KINDS + ["text"]:
+        for seed in range(4):
+            r = run_trial(SimConfig(kind=kind, sites=4, ops_per_site=20, seed=seed,
+                                    topology="ring", reorder=True, duplicate=True))
+            assert r.converged, f"{kind} seed {seed}: {r.reason}"
+            messages += r.messages_sent
+            ops += len(r.script)
+    assert messages <= 5.2 * ops, messages / ops
 
 
 def test_nonterminating_budget():
