@@ -5,10 +5,10 @@ Hello exchange; a Hello names its sender's incarnation, a nonce drawn at
 start-up, so a restarted process is known by its new stream.  The dialer
 follows up with a resync request, so a freshly (re)started process pulls the
 survivor's history immediately, and then with what the peer lacks of its
-own.  A local edit waits until every request this site has out on a live
-link is answered (at most ``SYNC_TIMEOUT``; past that it is refused), since
-a restarted process learns only from the Full how far its old incarnation
-numbered its ops.  After that a connection's frames are read in batches:
+own.  A process numbers its own ops from a random base drawn with its
+incarnation, so a restarted process does not reuse the uid of an op its
+old incarnation made: it may edit at once, before or without any catch-up.
+After the Hello a connection's frames are read in batches:
 one read takes whatever the socket holds, and every complete line in it is
 decoded and handed to the site as one batch (``SiteState.handle_batch``,
 which integrates each run of increments that continue each other as one).
@@ -20,7 +20,7 @@ never come: the site is told the link has drained
 (``SiteState.link_drained``) and asks for the peer's history.  Only then
 do the replies go out.  All site mutations happen on the event loop, between
 awaits, so the engine needs no locks.  Exit codes: 0 clean quit, 2
-configuration error, 3 protocol fault.
+configuration error, 3 protocol fault or a scripted ``sync`` that timed out.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ from .wire import decode_message, encode_message
 log = logging.getLogger("ccr.agent")
 
 # Longest line a connection reads.  A Full carries a whole history in one
-# line, so this bounds what a restarted peer can catch up on: about 300k
-# counter ops.  A longer line drops the link.
+# line, so this bounds what a restarted peer can catch up on: about 250k
+# counter ops made by agents (65 bytes each, with their long seqs).  A
+# longer line drops the link.
 FRAME_LIMIT = 16 * 1024 * 1024
 # Most bytes taken from a socket in one read; a batch is whatever it held.
 READ_CHUNK = 64 * 1024
-# Seconds a bare ``sync`` waits for its barrier, and an edit for the answers
-# to the resyncs this site asked for.
+# Seconds a bare ``sync`` waits for its barrier.
 SYNC_TIMEOUT = 10.0
 QUIET_WINDOW = 0.2  # seconds without traffic after which ``sync`` sees quiet
 
@@ -79,6 +79,9 @@ class Agent:
         self.rt = replica_type(cfg.kind)
         self.state = SiteState(cfg.site, self.rt)
         self.incarnation = int.from_bytes(os.urandom(8), "big")
+        # A fresh 63-bit base for this process's seqs: no earlier incarnation
+        # of the site is likely to have numbered an op in its range.
+        self.state.next_seq = self.incarnation >> 1
         self.links: Dict[int, _Link] = {}
         self.exit_code = 0
         self._stopping = asyncio.Event()
@@ -332,12 +335,14 @@ class Agent:
                 return self._disconnect(cmd.args)
             if cmd.verb == "sync":
                 timeout = cmd.args[0] if cmd.args[0] is not None else SYNC_TIMEOUT
-                if not await self._sync(timeout):
-                    return self._timed_out("sync timed out")
-                return False
-            if cmd.verb == "update" and not await self._caught_up(SYNC_TIMEOUT):
-                return self._timed_out("update refused: a resync asked of a peer "
-                                       "is still unanswered")
+                if await self._sync(timeout):
+                    return False
+                # a script stops here, so it never reads an unsynced state
+                print("sync timed out", flush=True)
+                if self.cfg.script is None:
+                    return False
+                self.exit_code = 3
+                return True
             _, out, msgs = repl_eval(self.state, cmd)
             if out:
                 print(out, flush=True)
@@ -348,14 +353,6 @@ class Agent:
         except IntentError as e:
             print(str(e), flush=True)
         return False
-
-    def _timed_out(self, what: str) -> bool:
-        """Report a wait that ran out; a script stops there, exit code 3."""
-        print(what, flush=True)
-        if self.cfg.script is None:
-            return False
-        self.exit_code = 3
-        return True
 
     def _disconnect(self, addr: Addr) -> bool:
         for peer, link in list(self.links.items()):
@@ -368,19 +365,6 @@ class Agent:
                 return False
         print(f"not connected to {addr[0]}:{addr[1]}", flush=True)
         return False
-
-    async def _caught_up(self, timeout: float) -> bool:
-        """Wait until every resync this site asked for on a live link is
-        answered.  A restarted site learns from the peer's Full how far its
-        own old sequence numbers went; an edit made before then would reuse
-        the uid of an op its peers already hold."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while any(self.state.peers[peer].resync_pending for peer in self.links):
-            if loop.time() >= deadline:
-                return False
-            await asyncio.sleep(0.02)
-        return True
 
     async def _sync(self, timeout: float) -> bool:
         """Barrier: wait until nothing is unsent and the wire has gone quiet."""

@@ -56,6 +56,10 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--reorder", action="store_true", help="allow out-of-order delivery")
     ap.add_argument("--duplicate", action="store_true", help="redeliver some messages")
     args = ap.parse_args(argv)
+    for flag, value, least in (("sites", args.sites, 1), ("ops", args.ops, 0),
+                               ("trials", args.trials, 1)):
+        if value < least:
+            ap.error(f"--{flag} must be at least {least}, got {value}")
 
     t0 = time.monotonic()
     failed: List[dict] = []

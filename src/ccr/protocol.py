@@ -20,12 +20,15 @@ dropped and an overlapping one integrates just its tail.  A restarted peer
 is a new incarnation whose stream starts over; its Hello names the new
 incarnation (a nonce the agent draws at start-up), and the Hello resets the
 cursor's receive side, so the new stream is read from position 0.  A Hello
-that names no incarnation always resets.  A piece that starts past the
-cursor is held (at most ``HOLD_LIMIT`` per peer, keyed by its start) and
-integrated as soon as the cursor reaches it, so a link that reorders fills
-its own gaps without a message.  A resync happens only when the stream is
-broken for good: a gap is still open once nothing older can arrive on the
-link (the transport says so with ``link_drained``) or the hold is full.  The
+that names no incarnation always resets.  The new incarnation must not
+reuse the old one's uids, or each side would cancel the other's op by uid,
+so the agent numbers a process's ops from a random ``next_seq``; it may
+edit before it has caught up.  A piece that starts past the cursor is held
+(at most ``HOLD_LIMIT`` per peer, keyed by its start) and integrated as
+soon as the cursor reaches it, so a link that reorders fills its own gaps
+without a message.  A resync happens only when the stream is broken for
+good: a gap is still open once nothing older can arrive on the link (the
+transport says so with ``link_drained``) or the hold is full.  The
 receiver then asks for the peer's full history, which integrates as the
 piece from position 0, and held pieces continue whatever it brought.  At
 most one request is in flight per peer.
@@ -79,7 +82,7 @@ is sequential by construction).
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import groupby, islice
 from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -458,11 +461,6 @@ class SiteState:
             return []
         self.current = apply_patch(self.rt, self.current, fresh)
         self._append(fresh)
-        for op in fresh:
-            # Own edits can come back after a restart (peer replays them in a
-            # Full); never reuse their sequence numbers.
-            if op.uid.site == self.site and op.uid.seq >= self.next_seq:
-                self.next_seq = op.uid.seq + 1
         for peer, cur in self.peers.items():
             if peer != from_site:
                 cur.remainder.extend(fresh)
@@ -520,8 +518,9 @@ class SiteState:
     def check_invariants(self) -> None:
         assert self.current == apply_patch(self.rt, self.base, self._log)
         assert self.uids == {op.uid for op in self._log}
-        own = [op.uid for op in self._log if op.uid.site == self.site]
-        assert all(u.seq < self.next_seq for u in own)
+        # No uid appears twice, across incarnations too; the fragments of a
+        # split deletion share theirs, side by side.
+        assert sum(1 for _ in groupby(op.uid for op in self._log)) == len(self.uids)
 
     def digest(self) -> str:
         return self.rt.digest(self.current)

@@ -190,11 +190,12 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
                     intent = random_intent(rt, plan_rng, s.current)
                     if intent is None:
                         continue
+                n = len(s.history)
                 try:
                     out = s.local_update(intent)
                 except IntentError:
                     continue  # scripted intent no longer fits the state
-                if out:
+                if len(s.history) > n:
                     recorded.append((now, site, intent))
                 for dst, msg in out:
                     send(now, site, dst, msg)

@@ -4,6 +4,7 @@ import socket
 import subprocess
 import sys
 import textwrap
+from collections import deque
 
 import pytest
 
@@ -103,6 +104,35 @@ def test_exec_parses_each_line_once(monkeypatch):
     a = Agent(AgentConfig(site=0, kind="counter", listen=addr(0)))
     assert asyncio.run(a._exec("incr 2")) is False
     assert lines == ["incr 2"] and a.state.current == 2
+
+
+def test_restarted_site_that_edits_before_connecting_converges():
+    """Site 1 makes ``incr 3`` and syncs; the site a new process for site 1
+    builds makes ``incr 4`` before it connects.  Its op is numbered from a
+    fresh base, so neither side cancels the other's by uid."""
+    def site(n):  # the site of a new agent process, which is never started
+        return Agent(AgentConfig(site=n, kind="counter", listen=addr(0))).state
+
+    def deliver(src, out):
+        pending = deque((src, dst, msg) for dst, msg in out)
+        while pending:
+            src, dst, msg = pending.popleft()
+            pending.extend((dst, nxt, m) for nxt, m in sites[dst].handle_message(src, msg))
+
+    sites = {0: site(0), 1: site(1)}
+    sites[0].connect_peer(1)
+    sites[1].connect_peer(0)
+    deliver(1, sites[1].local_update(("incr", 3)))
+    assert sites[0].current == 3
+    sites[1] = site(1)
+    assert sites[1].local_update(("incr", 4)) == []  # no peer yet
+    # It dials site 0: Hellos both ways, its request, then its backlog.
+    sites[0].handle_message(1, Hello(1, "counter", 0))
+    sites[1].handle_message(0, Hello(0, "counter", 0))
+    deliver(1, sites[1].request_resync(0) + [(0, sites[1].make_increment(0))])
+    assert sites[0].digest() == sites[1].digest() == "7"
+    for s in sites.values():
+        s.check_invariants()
 
 
 class TestInProcess:
@@ -220,7 +250,7 @@ class TestInProcess:
 
         asyncio.run(flow())
 
-    def test_restarted_agent_edits_only_after_its_catch_up(self):
+    def test_restarted_agent_edits_during_its_catch_up(self):
         async def flow():
             pa = free_port()
             a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
@@ -233,15 +263,14 @@ class TestInProcess:
                 assert await b._sync(5) and await a._sync(5)
                 await b._shutdown()
                 # A new process for site 1 edits before its dial's Full has
-                # landed: the edit waits for it, so it does not reuse the
-                # uid of the old incarnation's op.
+                # landed; its ops are numbered from a fresh base, so the
+                # edit reuses no uid of the old incarnation's ops.
                 b2 = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
                                        connect=(addr(pa),)))
                 assert await b2.start() is None
                 try:
                     assert b2.state.peers[0].resync_pending
                     await b2._exec("incr 4")
-                    assert b2.state.history[-1].uid == OpId(1, 2)
                     assert await b2._sync(5) and await a._sync(5)
                     assert a.state.digest() == b2.state.digest() == "7"
                 finally:
@@ -252,41 +281,39 @@ class TestInProcess:
 
         asyncio.run(flow())
 
-    def test_edit_refused_when_the_catch_up_never_comes(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setattr(agent_mod, "SYNC_TIMEOUT", 0.3)
-        script = tmp_path / "edit.ccr"
-        script.write_text("incr 1\nshow\n")
-        rt = replica_type("counter")
-
+    @pytest.mark.parametrize("dialer", ["restarted", "survivor"])
+    def test_restarted_agent_that_edits_before_any_link_converges(self, dialer):
+        """A new process for site 1 edits before it has a link, then dials
+        the survivor or is dialed by it (an acceptor asks for nothing).
+        Either way its op keeps a uid of its own, and both reach 7."""
         async def flow():
-            closed = asyncio.Event()
-
-            async def mute(reader, writer):
-                # Greets, then never answers the dialer's request.
-                try:
-                    await reader.readline()
-                    writer.write(encode_message(rt, Hello(0, rt.name, 0)))
-                    await reader.read()
-                finally:
-                    writer.close()
-                    closed.set()
-
-            server = await asyncio.start_server(mute, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
+            pa, pb = free_port(), free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
             b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
-                                  connect=(addr(port),), script=str(script)))
+                                  connect=(addr(pa),)))
+            b2 = Agent(AgentConfig(site=1, kind="counter", listen=addr(pb)))
+            assert await a.start() is None
+            assert await b.start() is None
             try:
-                assert await b.run() == 3
-                await asyncio.wait_for(closed.wait(), 5)
+                await b._exec("incr 3")
+                assert await b._sync(5) and await a._sync(5)
+                await b._shutdown()
+                assert await b2.start() is None
+                await b2._exec("incr 4")
+                if dialer == "restarted":
+                    await b2._exec(f"connect 127.0.0.1:{pa}")
+                else:
+                    await a._exec(f"connect 127.0.0.1:{pb}")
+                await wait_for(lambda: 0 in b2.links and
+                               a.state.peers[1].incarnation == b2.incarnation)
+                assert await b2._sync(5) and await a._sync(5)
+                assert a.state.digest() == b2.state.digest() == "7"
             finally:
-                server.close()
-                await server.wait_closed()
-            return b
+                await a._shutdown()
+                await b._shutdown()
+                await b2._shutdown()
 
-        b = asyncio.run(flow())
-        assert b.state.history == ()
-        assert capsys.readouterr().out.splitlines() == [
-            "update refused: a resync asked of a peer is still unanswered"]
+        asyncio.run(flow())
 
     def test_kind_mismatch_refused(self):
         async def flow():

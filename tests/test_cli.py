@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ccr.cli import sim_main
 from ccr.sim import SimConfig, run_trial
 from support import AGENT_ENV
@@ -48,3 +50,13 @@ def test_sim_report_counts_effective_ops(capsys):
     assert report["messages_sent"] == sum(r.messages_sent for r in trials)
     keys = list(report)
     assert keys.index("ops") + 1 == keys.index("messages_sent")
+
+
+@pytest.mark.parametrize("args", [["--sites", "0"], ["--sites", "-2"], ["--ops", "-1"],
+                                  ["--trials", "0"]])
+def test_sim_rejects_counts_out_of_range(args, capsys):
+    with pytest.raises(SystemExit) as e:
+        sim_main(["--replica", "counter", *args])
+    assert e.value.code == 2
+    assert f"{args[0]} must be at least" in capsys.readouterr().err
+

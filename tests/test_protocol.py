@@ -147,14 +147,16 @@ class TestRecovery:
         assert not b.peers[0].held and b.stats.resync_reqs == 0
         assert quiescent(sites, 0)
 
-    def test_restart_resumes_sequence_numbers(self):
+    def test_restarted_site_numbers_from_a_fresh_base(self):
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         pending = deque(outbox(0, a.local_update(("incr", 4))))
         pending.extend(outbox(0, a.local_update(("incr", 6))))
         drain(sites, pending)
+        old = set(a.uids)
 
         a2 = SiteState(0, a.rt)  # crash: history and seq counter lost
+        a2.next_seq = 2**40  # a fresh base, as the agent draws one
         sites[0] = a2
         a2.connect_peer(1)
         b.connect_peer(0, known_len=0)
@@ -168,9 +170,9 @@ class TestRecovery:
         drain(sites, pending)
         assert quiescent(sites, 0)
         assert a2.current == 10
-        assert a2.next_seq == 3  # old own uids came back; never reuse them
-        out = a2.local_update(("incr", 1))
-        assert out[0][1].ops[0].uid == OpId(0, 3)
+        assert a2.next_seq == 2**40  # old own ops came back and left it alone
+        uid = a2.local_update(("incr", 1))[0][1].ops[0].uid
+        assert uid == OpId(0, 2**40) and uid not in old
 
     def test_resent_op_faults_naming_its_uid(self):
         sites = mesh("counter", 2)
@@ -464,6 +466,7 @@ class TestIncarnation:
         assert len(a.peers[1].recv_ops) == a.peers[1].recv_len > 0
         assert edit(b)  # lost with b
         b2 = SiteState(1, b.rt, verify=True)
+        b2.next_seq = 2**40  # a fresh base, as the agent draws one
         sites[1] = b2
         # b2 dials a: Hellos both ways, then its request.
         a.handle_message(1, self.hello(1, 2, kind=kind))
@@ -829,9 +832,10 @@ def test_restarted_site_converges_on_reordering_links(kind):
     """Three sites edit over links that reorder and duplicate; one restarts
     mid-run with nothing, as a new incarnation.  What was in flight on its
     old links is dropped, as a closed socket drops it; it dials each peer
-    (Hellos both ways, its request, its backlog) and edits again once each
-    request is answered.  Every run converges, and the restarted site never
-    reuses the sequence number of an op that outlived its old incarnation."""
+    (Hellos both ways, its request, its backlog) and edits on, also while its
+    requests are out.  It numbers its ops from a fresh base, as the agent
+    does.  Every run converges, and the restarted site never reuses the uid
+    of an op that outlived its old incarnation."""
     rt = replica_type(kind)
     outlived = 0
     for seed in range(100):
@@ -865,6 +869,7 @@ def test_restarted_site_converges_on_reordering_links(kind):
                 pending = [p for p in pending if restarted not in p[:2]]
                 sites[restarted] = SiteState(restarted, rt, verify=True)
                 incarnation[restarted] = rng.getrandbits(64)
+                sites[restarted].next_seq = incarnation[restarted] >> 1
                 survivors = {op.uid for s in sites.values() for op in s.history
                              if op.uid.site == restarted}
                 outlived += len(survivors)
@@ -872,8 +877,6 @@ def test_restarted_site_converges_on_reordering_links(kind):
                     if j != restarted:
                         dial(restarted, j)
             for i, s in sites.items():
-                if any(cur.resync_pending for cur in s.peers.values()):
-                    continue  # catching up: its own old ops may still come back
                 intent = random_intent(rt, rng, s.current)
                 if intent is not None:
                     pending.extend(outbox(i, s.local_update(intent)))

@@ -50,6 +50,14 @@ class TestDeterminism:
         assert (replay.reason, replay.digests) == (r.reason, r.digests)
         assert replay.messages_sent == r.messages_sent
 
+    def test_one_site_script_records_every_op(self):
+        # A lone site sends nothing, but each op it makes is still recorded.
+        cfg = SimConfig(kind="text", sites=1, ops_per_site=5)
+        r = run_trial(cfg)
+        assert r.converged and r.messages_sent == 0
+        assert len(r.script) == 5  # one per op: every text intent drawn is effective
+        assert run_trial(cfg, script=r.script).digests == r.digests
+
 
 @pytest.mark.parametrize("kind", CLEAN_KINDS)
 def test_clean_kinds_converge_under_faults(kind):
