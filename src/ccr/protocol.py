@@ -84,11 +84,10 @@ from __future__ import annotations
 
 from itertools import groupby, islice
 from types import SimpleNamespace
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .core import (
     CcrError,
-    ComposeError,
     OpId,
     Operation,
     Patch,
@@ -273,11 +272,6 @@ class SiteState:
         unchanged."""
         return HistoryView(self._log, len(self._log))
 
-    @history.setter
-    def history(self, ops: Iterable[Operation]) -> None:
-        # A new log: views taken before keep the old one.
-        self._log = list(ops)
-
     # -- peer management ----------------------------------------------------
 
     def connect_peer(self, peer_site: int, known_len: int = 0,
@@ -308,8 +302,8 @@ class SiteState:
         op = self.rt.gen_effective(self.current, intent, OpId(self.site, self.next_seq))
         if op is None:
             return []
-        self.next_seq += 1
         self._append((op,))
+        self.next_seq += 1
         self.current = self.rt.apply(self.current, op)
         for cur in self.peers.values():
             cur.remainder.append(op)
@@ -468,10 +462,12 @@ class SiteState:
 
     def _append(self, ops: Patch) -> None:
         """Extend the history by ops, refusing any uid it already holds, as
-        ``core.compose`` does, at a cost that does not grow with it."""
+        ``core.compose`` does, at a cost that does not grow with it.  A
+        reused uid faults the site: each side would cancel the other's op."""
         shared = {op.uid for op in ops if op.uid in self.uids}
         if shared:
-            raise ComposeError(f"duplicate uids across composition: {sorted(shared)}")
+            self.faulted = f"duplicate uids across composition: {sorted(shared)}"
+            raise SiteFaulted(f"site {self.site} faulted: {self.faulted}")
         self._log.extend(ops)
         self.uids.update(op.uid for op in ops)
 

@@ -1,12 +1,13 @@
-"""Last-writer-wins register, without the clock.
+"""Last-writer-wins register, without the clock: the multi-value register of
+Shapiro, Preguiça, Baquero & Zawirski (INRIA RR-7506, 2011).
 
 There is no global "last", so the state keeps a *candidate set* of
-(uid, string) pairs.  A write is really WriteExcept(s, keep): drop every
-candidate whose uid is not in the keep set, then add yourself.  A freshly
-generated write has an empty keep set (it supersedes everything its site has
-seen); transformation against a concurrent write adds that write's uid to the
-keep set, so truly concurrent writes survive side by side and any later solo
-write collapses the set to a singleton again.
+(uid, string) pairs.  A write is WriteExcept(s, drop): it drops the
+candidates whose uids are in its drop set, the candidates its site saw when
+it was made, then adds itself.  A concurrent write is never among them, so
+concurrent writes survive side by side and any later solo write collapses
+the set to one again.  Transformation rewrites nothing, so an op never grows
+after it is made.
 """
 
 from __future__ import annotations
@@ -23,17 +24,13 @@ class LwwType(ReplicaType):
         return frozenset()
 
     def apply(self, state, op):
-        tag, s, keep = op.body
+        tag, s, drop = op.body
         if tag != "WriteExcept":
             raise ApplyError(f"unknown lww op {tag!r}")
-        return frozenset(c for c in state if c[0] in keep) | {(op.uid, s)}
+        return frozenset(c for c in state if c[0] not in drop) | {(op.uid, s)}
 
     def transform_prim(self, a, b):
-        ta, sa, ka = a.body
-        tb, sb, kb = b.body
-        a2 = self.op(a.uid, "WriteExcept", sa, ka | {b.uid})
-        b2 = self.op(b.uid, "WriteExcept", sb, kb | {a.uid})
-        return (a2,), (b2,)
+        return (a,), (b,)
 
     def gen_effective(self, state, intent, uid):
         verb, s = intent
@@ -41,7 +38,7 @@ class LwwType(ReplicaType):
             raise IntentError(f"lww has no intent {verb!r}")
         if not isinstance(s, str):
             raise IntentError("lww payload must be a string")
-        return self.op(uid, "WriteExcept", s, frozenset())
+        return self.op(uid, "WriteExcept", s, frozenset(u for u, _ in state))
 
     def draw_intent(self, rng, state):
         return ("write", random_word(rng))
@@ -50,17 +47,17 @@ class LwwType(ReplicaType):
         return sorted({s for (_, s) in state})
 
     def encode_body(self, body):
-        _, s, keep = body
+        _, s, drop = body
         return {
             "type": "WriteExcept",
             "s": s,
-            "keep": [{"site": u.site, "seq": u.seq} for u in sorted(keep)],
+            "drop": [{"site": u.site, "seq": u.seq} for u in sorted(drop)],
         }
 
     def decode_body(self, obj):
         if obj.get("type") != "WriteExcept" or not isinstance(obj.get("s"), str):
             raise WireError(f"bad lww op: {obj!r}")
-        keep = obj.get("keep")
-        if not isinstance(keep, list):
-            raise WireError(f"bad lww keep set: {obj!r}")
-        return ("WriteExcept", obj["s"], frozenset(decode_uid(u) for u in keep))
+        drop = obj.get("drop")
+        if not isinstance(drop, list):
+            raise WireError(f"bad lww drop set: {obj!r}")
+        return ("WriteExcept", obj["s"], frozenset(decode_uid(u) for u in drop))

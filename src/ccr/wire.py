@@ -6,7 +6,8 @@ encoder shared by every frame.  Every frame is a fresh tree of dicts and
 lists, so the encoder skips the circular-reference check.  Decoding is strict about structure and
 types; anything off raises WireError so a bad frame drops the connection
 instead of corrupting a replica.  An integer field, the version included,
-holds an int that is not a boolean (``core.is_int``).
+holds an int that is not a boolean (``core.is_int``), and a stream
+position (``prefix_len``, ``known_len``) is never negative.
 
 A frame is parsed by the C scanner that ``json.loads`` runs, called once at
 position 0.  Its result stands when the rest of the line is empty or JSON
@@ -117,6 +118,8 @@ def decode_message(rt: ReplicaType, line: Union[bytes, str]) -> Message:
         incarnation = obj.get("incarnation", 0)
         if type(site) is not int or type(known_len) is not int or type(incarnation) is not int:
             raise _not_int(obj, "hello", "known_len", "incarnation")
+        if known_len < 0:
+            raise WireError(f"negative known_len: {obj!r}")
         return Hello(site, kind, known_len, obj.get("incarnation"))
     if "resync" in obj:
         if obj["resync"] is not True:
@@ -138,5 +141,7 @@ def decode_message(rt: ReplicaType, line: Union[bytes, str]) -> Message:
         sender, prefix_len = obj.get("sender"), obj.get("prefix_len")
         if type(sender) is not int or type(prefix_len) is not int:
             raise _not_int(obj, "sender", "prefix_len")
+        if prefix_len < 0:
+            raise WireError(f"negative prefix_len: {obj!r}")
         return Increment(kind, sender, prefix_len, _decode_ops(rt, ops))
     raise WireError(f"unrecognized frame: {obj!r}")

@@ -106,6 +106,14 @@ def test_exec_parses_each_line_once(monkeypatch):
     assert lines == ["incr 2"] and a.state.current == 2
 
 
+def test_reused_uid_is_fatal():
+    a = Agent(AgentConfig(site=0, kind="counter", listen=addr(0)))
+    assert asyncio.run(a._exec("incr 1")) is False
+    a.state.next_seq -= 1
+    assert asyncio.run(a._exec("incr 1")) is True
+    assert a.exit_code == 3 and a.state.faulted is not None
+
+
 def test_restarted_site_that_edits_before_connecting_converges():
     """Site 1 makes ``incr 3`` and syncs; the site a new process for site 1
     builds makes ``incr 4`` before it connects.  Its op is numbered from a

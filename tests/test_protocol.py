@@ -569,10 +569,8 @@ class TestGuards:
     def test_fault_is_sticky(self):
         rt = replica_type("eset")
         b = SiteState(1, rt)
-        add = rt.op(OpId(1, 1), "Add", "x")
-        b.history = (add,)
-        b.current = rt.apply(b.current, add)
-        b.next_seq = 2
+        b.local_update(("add", "x"))
+        assert (b.history[0].uid, b.next_seq, b.current) == (OpId(1, 1), 2, frozenset({"x"}))
         b.connect_peer(0)
         # A remove of an element the sender cannot have seen: no legal
         # history produces this pair, integration must refuse loudly.
@@ -583,6 +581,17 @@ class TestGuards:
         assert b.faulted is not None
         with pytest.raises(SiteFaulted):
             b.local_update(("add", "y"))
+
+    def test_reused_uid_faults_and_changes_nothing(self):
+        a = SiteState(0, replica_type("counter"))
+        a.local_update(("incr", 3))
+        a.next_seq = 1
+        with pytest.raises(SiteFaulted, match=r"duplicate uids.*\(0,1\)"):
+            a.local_update(("incr", 4))
+        assert a.faulted is not None
+        assert (a.next_seq, len(a.history), a.current) == (1, 1, 3)
+        with pytest.raises(SiteFaulted, match="previously faulted"):
+            a.local_update(("incr", 4))
 
 
 class TestCoalesce:
@@ -792,6 +801,28 @@ def test_verified_cache_under_shuffled_delivery(kind, nsites, seed):
     assert quiescent(sites, 0)
     for s in sites.values():
         s.check_invariants()
+
+
+@pytest.mark.parametrize("kind", ["lww", "socialmedia"])
+def test_partition_heal_converges(kind):
+    """Two sites make 200 ops each while apart, then connect.  An lww write
+    carries only the candidates its site saw, so no merged op grows with
+    the other side's branch."""
+    rng = random.Random(1)
+    rt = replica_type(kind)
+    sites = {i: SiteState(i, rt) for i in range(2)}
+    for s in sites.values():
+        for _ in range(200):
+            s.local_update(random_intent(rt, rng, s.current))
+    for i, s in sites.items():
+        s.connect_peer(1 - i)
+    drain(sites, deque((i, 1 - i, s.make_increment(1 - i)) for i, s in sites.items()))
+    assert sites[0].digest() == sites[1].digest()
+    assert quiescent(sites, 0)
+    for s in sites.values():
+        s.check_invariants()
+        if kind == "lww":
+            assert max(len(op.body[2]) for op in s.history) == 1
 
 
 def test_lossy_reordering_links_resync_and_converge():

@@ -79,13 +79,18 @@ class TestLww:
     def test_write_replaces(self):
         s = self.rt.initial()
         s = self.rt.apply(s, self.rt.op(OpId(0, 1), "WriteExcept", "a", frozenset()))
-        s = self.rt.apply(s, self.rt.op(OpId(0, 2), "WriteExcept", "b", frozenset()))
+        s = self.rt.apply(s, self.rt.op(OpId(0, 2), "WriteExcept", "b", frozenset({OpId(0, 1)})))
         assert self.rt.digest_value(s) == ["b"]
 
-    def test_keep_set_retains_named_candidates(self):
+    def test_drop_set_removes_only_named_candidates(self):
         s = frozenset({(OpId(1, 1), "x"), (OpId(2, 1), "y")})
-        op = self.rt.op(OpId(0, 1), "WriteExcept", "z", frozenset({OpId(1, 1)}))
+        op = self.rt.op(OpId(0, 1), "WriteExcept", "z", frozenset({OpId(2, 1)}))
         assert self.rt.digest_value(self.rt.apply(s, op)) == ["x", "z"]
+
+    def test_write_drops_the_candidates_it_saw(self):
+        s = frozenset({(OpId(1, 1), "x"), (OpId(2, 1), "y")})
+        op = self.rt.gen_effective(s, ("write", "z"), U)
+        assert op.body == ("WriteExcept", "z", frozenset({OpId(1, 1), OpId(2, 1)}))
 
     def test_digest_dedupes_equal_strings(self):
         s = frozenset({(OpId(1, 1), "x"), (OpId(2, 1), "x")})

@@ -189,23 +189,21 @@ class TestAddMult:
         assert transform_patch(AM, 0, (a,), (b,)) == ((a,), (b,))
 
 
-def write(site, seq, s, keep=()):
-    return LWW.op(OpId(site, seq), "WriteExcept", s, frozenset(keep))
+def write(site, seq, s, drop=()):
+    return LWW.op(OpId(site, seq), "WriteExcept", s, frozenset(drop))
 
 
 class TestLww:
     def test_concurrent_writes_keep_each_other(self):
         a, b = write(0, 1, "a"), write(1, 1, "b")
-        left, right = transform_patch(LWW, frozenset(), (a,), (b,))
-        assert left == (write(0, 1, "a", {OpId(1, 1)}),)
-        assert right == (write(1, 1, "b", {OpId(0, 1)}),)
+        assert transform_patch(LWW, frozenset(), (a,), (b,)) == ((a,), (b,))
         final = both_orders(LWW, frozenset(), (a,), (b,))
         assert LWW.digest_value(final) == ["a", "b"]
 
     def test_later_solo_write_collapses(self):
         a, b = write(0, 1, "a"), write(1, 1, "b")
         merged = apply_patch(LWW, frozenset(), confluent_rep(LWW, frozenset(), (a,), (b,)))
-        final = apply_patch(LWW, merged, (write(0, 2, "c"),))
+        final = apply_patch(LWW, merged, (write(0, 2, "c", {OpId(0, 1), OpId(1, 1)}),))
         assert LWW.digest_value(final) == ["c"]
 
     def test_three_concurrent_writes_all_survive(self):

@@ -76,12 +76,12 @@ class TestGoldenOps:
             '{"uid":{"site":1,"seq":5},"type":"Rem","x":"a"}'
         )
 
-    def test_lww_keep_sorted(self):
+    def test_lww_drop_sorted(self):
         rt = replica_type("lww")
         op = rt.op(OpId(0, 2), "WriteExcept", "hi", frozenset({OpId(1, 1), OpId(0, 1)}))
         assert op_bytes(rt, op) == (
             '{"uid":{"site":0,"seq":2},"type":"WriteExcept","s":"hi",'
-            '"keep":[{"site":0,"seq":1},{"site":1,"seq":1}]}'
+            '"drop":[{"site":0,"seq":1},{"site":1,"seq":1}]}'
         )
 
     def test_queue(self):
@@ -293,10 +293,24 @@ class TestRejects:
         self.bad(b'{"v":1,"kind":"counter","sender":0,"prefix_len":0,'
                  b'"ops":[{"uid":{"site":true,"seq":1},"type":"Incr","n":1}]}')
 
-    def test_bool_uid_in_lww_keep_set(self):
+    def test_bool_uid_in_lww_drop_set(self):
         self.bad(b'{"v":1,"kind":"lww","sender":0,"prefix_len":0,'
                  b'"ops":[{"uid":{"site":0,"seq":1},"type":"WriteExcept","s":"a",'
-                 b'"keep":[{"site":true,"seq":1}]}]}', replica_type("lww"))
+                 b'"drop":[{"site":true,"seq":1}]}]}', replica_type("lww"))
+
+    def test_lww_keep_set_from_before_the_drop_set(self):
+        self.bad(b'{"v":1,"kind":"lww","sender":0,"prefix_len":0,'
+                 b'"ops":[{"uid":{"site":0,"seq":1},"type":"WriteExcept","s":"a",'
+                 b'"keep":[]}]}', replica_type("lww"))
+
+    def test_negative_prefix_len(self):
+        self.bad(b'{"v":1,"kind":"counter","sender":0,"prefix_len":-2,"ops":['
+                 b'{"uid":{"site":0,"seq":1},"type":"Incr","n":1},'
+                 b'{"uid":{"site":0,"seq":2},"type":"Incr","n":1},'
+                 b'{"uid":{"site":0,"seq":3},"type":"Incr","n":1}]}')
+
+    def test_negative_known_len(self):
+        self.bad(b'{"v":1,"hello":0,"kind":"counter","known_len":-2}')
 
     def test_bool_uid_as_deq_target(self):
         self.bad(b'{"v":1,"kind":"queue","sender":0,"prefix_len":0,'
