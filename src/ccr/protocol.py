@@ -33,11 +33,14 @@ receiver then asks for the peer's full history, which integrates as the
 piece from position 0, and held pieces continue whatever it brought.  At
 most one request is in flight per peer.
 Because a piece is defined by its position alone, increments of one stream
-that continue each other can be sent and integrated as one (``coalesce``),
-reaching the same state as the pieces one by one.  ``handle_batch`` is the
-one receive path for a batch of a peer's messages (the agent's read, the
-simulator's delivery on one link at one tick): it integrates each such run
-with one ``handle_message`` and merges the replies the same way.
+that continue each other integrate as one, reaching the same state as the
+pieces one by one.  ``handle_batch`` is the one receive path for a batch of
+a peer's messages (the agent's read, the simulator's delivery on one link at
+one tick): it merges each such run and integrates it with one
+``handle_message``.  Each entry point (``local_update``, ``handle_message``,
+``handle_batch``) builds its increments once, at its end, and only if the
+history grew; since ``make_increment`` sends the whole unsent suffix, a call
+sends each peer one increment at most.
 
 The rebroadcast to the sender, the echo, brings it nothing new: it holds
 those ops already, and they cancel by uid on arrival.  It is sent only
@@ -82,7 +85,7 @@ is sequential by construction).
 
 from __future__ import annotations
 
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -105,7 +108,7 @@ class ProtocolError(CcrError):
     """A peer broke the protocol (message before Hello, kind mismatch,
     site collision).  Scoped to one connection.  Raised from
     ``handle_batch``, it carries in ``replies`` what the batch's messages
-    before the offending one had to send."""
+    before the offending one had to send, one increment per peer at most."""
 
     replies: Sequence[Tuple[int, Message]] = ()
 
@@ -215,40 +218,30 @@ class SiteStats(SimpleNamespace):
 
     def __init__(self, resync_reqs: int = 0,  # ResyncReqs sent
                  fulls_served: int = 0,  # Fulls sent in answer to one
-                 stale_dropped: int = 0):  # peer messages that held nothing new
+                 stale_dropped: int = 0):  # pieces that held nothing new; a merged run is one
         super().__init__(resync_reqs=resync_reqs, fulls_served=fulls_served,
                          stale_dropped=stale_dropped)
 
 
-def coalesce(pairs: List[Tuple[int, Message]]) -> List[Tuple[int, Message]]:
-    """Merge each ``Increment`` into the previous message to the same peer
-    when that is an ``Increment`` of the same kind that the new one
-    continues (its ``prefix_len`` is where the previous one ends).  Every
-    other message keeps its order; messages to different peers are
-    independent streams."""
-    merged: List[Tuple[int, Message]] = []
-    runs: Dict[int, List[Operation]] = {}  # index in merged -> ops of the run there
-    tail: Dict[int, int] = {}  # peer -> index of its last message, an Increment
-    for pair in pairs:
-        peer, msg = pair
-        i = tail.pop(peer, None)
-        if isinstance(msg, Increment):
-            if i is not None:
-                first = merged[i][1]
-                ops = runs.get(i)
-                if msg.kind == first.kind and msg.prefix_len == first.prefix_len + len(
-                        first.ops if ops is None else ops):
-                    if ops is None:
-                        ops = runs[i] = list(first.ops)
-                    ops.extend(msg.ops)
-                    tail[peer] = i
-                    continue
-            tail[peer] = len(merged)
-        merged.append(pair)
-    for i, ops in runs.items():
-        peer, first = merged[i]
-        merged[i] = (peer, Increment(first.kind, first.sender, first.prefix_len, tuple(ops)))
-    return merged
+def _runs(msgs: Sequence[Message]) -> Sequence[Message]:
+    """One peer's messages in order, each ``Increment`` merged into the one
+    before it when both have the same kind and it starts where that one
+    ends.  A message merged with none is passed on as it is."""
+    if len(msgs) < 2:
+        return msgs
+    runs: List[List[Message]] = []
+    end = None  # where the last run ends, while it is a run of increments
+    for msg in msgs:
+        inc = isinstance(msg, Increment)
+        if inc and msg.prefix_len == end and msg.kind == runs[-1][0].kind:
+            runs[-1].append(msg)
+        else:
+            runs.append([msg])
+        end = msg.prefix_len + len(msg.ops) if inc else None
+    return [run[0] if len(run) == 1 else
+            Increment(run[0].kind, run[0].sender, run[0].prefix_len,
+                      tuple(chain.from_iterable(m.ops for m in run)))
+            for run in runs]
 
 
 class SiteState:
@@ -302,35 +295,36 @@ class SiteState:
         op = self.rt.gen_effective(self.current, intent, OpId(self.site, self.next_seq))
         if op is None:
             return []
+        current = self.rt.apply(self.current, op)  # an op that fails changes nothing
+        n = len(self._log)
         self._append((op,))
         self.next_seq += 1
-        self.current = self.rt.apply(self.current, op)
+        self.current = current
         for cur in self.peers.values():
             cur.remainder.append(op)
-        return self._broadcast()
+        return self._broadcast(n, None)
 
     # -- message handling ----------------------------------------------------
 
     def handle_batch(self, from_site: int, msgs: Sequence[Message]) -> List[Tuple[int, Message]]:
         """Handle a peer's messages in order, each run of increments that
-        continue each other as one; returns the replies, contiguous
-        increments to each peer merged.  The echo to ``from_site`` is not
-        among them: it stays unsent until ``flush`` or a later increment to
-        that peer.  A ``ProtocolError`` keeps what the messages before it
-        committed and carries their replies."""
+        continue each other as one; returns the replies, one increment per
+        peer at most.  The echo to ``from_site`` is not among them: it stays
+        unsent until ``flush`` or a later increment to that peer.  A
+        ``ProtocolError`` keeps what the messages before it committed and
+        carries their replies."""
+        n = len(self._log)
         out: List[Tuple[int, Message]] = []
         self._deferring = from_site
         try:
-            if len(msgs) == 1:
-                return self.handle_message(from_site, msgs[0])
-            for _, msg in coalesce([(from_site, m) for m in msgs]):
+            for msg in _runs(msgs):
                 out += self.handle_message(from_site, msg)
         except ProtocolError as e:
-            e.replies = coalesce(out)
+            e.replies = out + self._broadcast(n, from_site)
             raise
         finally:
             self._deferring = None
-        return coalesce(out)
+        return out + self._broadcast(n, from_site)
 
     def deferred(self, peer: int) -> bool:
         """Some of the history is unsent to ``peer``: ``flush`` sends it."""
@@ -343,28 +337,35 @@ class SiteState:
         return [] if m is None else [(peer, m)]
 
     def handle_message(self, from_site: int, msg: Message) -> List[Tuple[int, Message]]:
+        """Handle one message from a peer; returns the replies, one increment
+        per peer at most.  Inside ``handle_batch`` the batch sends those."""
         self._check_ok()
         if isinstance(msg, Hello):
             return self._handle_hello(msg)
         cur = self.peers.get(from_site)
         if cur is None:
             raise ProtocolError(f"message from site {from_site} before Hello")
+        n = len(self._log)
         if isinstance(msg, Increment):
             if msg.kind != self.rt.name:
                 raise ProtocolError(
                     f"kind mismatch: peer sends {msg.kind!r}, this site is {self.rt.name!r}"
                 )
-            return self._piece(from_site, msg.prefix_len, msg.ops)
-        if isinstance(msg, ResyncReq):
-            n = len(self._log)
+            start = msg.prefix_len
+        elif isinstance(msg, ResyncReq):
             reply = Full(sender=self.site, ops=HistoryView(self._log, n))
             cur.sent_len = n
             self.stats.fulls_served += 1
             return [(from_site, reply)]
-        if isinstance(msg, Full):
+        elif isinstance(msg, Full):
             cur.resync_pending = False
-            return self._piece(from_site, 0, msg.ops)
-        raise ProtocolError(f"unknown message {msg!r}")
+            start = 0
+        else:
+            raise ProtocolError(f"unknown message {msg!r}")
+        out = self._piece(from_site, start, msg.ops)
+        if self._deferring is None:
+            out += self._broadcast(n, None)
+        return out
 
     def request_resync(self, peer: int) -> List[Tuple[int, Message]]:
         """Ask the peer for its full history unless a request is already
@@ -387,17 +388,15 @@ class SiteState:
     def _piece(self, peer: int, start: int, ops: Patch) -> List[Tuple[int, Message]]:
         """Integrate the ops of a piece of the peer's stream that lie past
         the cursor, then every held piece the cursor reaches; hold the piece
-        if it starts past the cursor."""
+        if it starts past the cursor.  Returns the hold's request, if any."""
         cur = self.peers[peer]
         if start > cur.recv_len:
             return self._hold(peer, start, ops)
-        out = self._integrate(peer, ops[cur.recv_len - start:])
-        if not cur.held:
-            return out
+        self._integrate(peer, ops[cur.recv_len - start:])
         while cur.held and min(cur.held) <= cur.recv_len:
             start = min(cur.held)
-            out += self._integrate(peer, cur.held.pop(start)[cur.recv_len - start:])
-        return coalesce(out)
+            self._integrate(peer, cur.held.pop(start)[cur.recv_len - start:])
+        return []
 
     def _hold(self, peer: int, start: int, ops: Patch) -> List[Tuple[int, Message]]:
         """Keep a piece that starts past the cursor until the gap before it
@@ -428,11 +427,12 @@ class SiteState:
 
     # -- integration core ----------------------------------------------------
 
-    def _integrate(self, from_site: int, ops: Patch) -> List[Tuple[int, Message]]:
-        """Integrate the ops of the peer's stream that follow the cursor."""
+    def _integrate(self, from_site: int, ops: Patch) -> None:
+        """Integrate the ops of the peer's stream that follow the cursor and
+        commit whatever they hold that is new."""
         if not ops:
             self.stats.stale_dropped += 1
-            return []
+            return
         cur = self.peers[from_site]
         try:
             # The ops apply in the peer's frame, which is never built: the
@@ -443,22 +443,17 @@ class SiteState:
                 self._verify_against_direct(cur.recv_ops, fresh, rem)
             cur.recv_len += len(ops)
             cur.remainder = list(rem)
-            return self._commit(from_site, fresh)
+            if not is_identity(fresh):
+                self.current = apply_patch(self.rt, self.current, fresh)
+                self._append(fresh)
+                for peer, other in self.peers.items():
+                    if peer != from_site:
+                        other.remainder.extend(fresh)
         except (ProtocolError, SiteFaulted):
             raise
         except CcrError as e:
             self.faulted = str(e)
             raise SiteFaulted(f"site {self.site} faulted during integration: {e}") from e
-
-    def _commit(self, from_site: int, fresh: Patch) -> List[Tuple[int, Message]]:
-        if is_identity(fresh):
-            return []
-        self.current = apply_patch(self.rt, self.current, fresh)
-        self._append(fresh)
-        for peer, cur in self.peers.items():
-            if peer != from_site:
-                cur.remainder.extend(fresh)
-        return self._broadcast()
 
     def _append(self, ops: Patch) -> None:
         """Extend the history by ops, refusing any uid it already holds, as
@@ -471,14 +466,15 @@ class SiteState:
         self._log.extend(ops)
         self.uids.update(op.uid for op in ops)
 
-    def _broadcast(self) -> List[Tuple[int, Message]]:
+    def _broadcast(self, n: int, skip: Optional[int]) -> List[Tuple[int, Message]]:
+        """Increments to every peer but ``skip``, if the history grew past ``n``."""
         out = []
-        for peer in self.peers:
-            if peer == self._deferring:
-                continue
-            m = self.make_increment(peer)
-            if m is not None:
-                out.append((peer, m))
+        if len(self._log) > n:
+            for peer in self.peers:
+                if peer != skip:
+                    m = self.make_increment(peer)
+                    if m is not None:
+                        out.append((peer, m))
         return out
 
     def make_increment(self, peer_site: int) -> Optional[Increment]:

@@ -1,5 +1,6 @@
 """Signed 64-bit counter.  Incr and Decr commute, so transformation never
-rewrites anything; overflow is an application error, not wraparound."""
+rewrites anything; overflow is an error, not wraparound: an intent that
+would overflow is refused, and concurrent ops that overflow fail to apply."""
 
 from __future__ import annotations
 
@@ -40,6 +41,8 @@ class CounterType(ReplicaType):
             raise IntentError("counter amount must be an integer")
         if n == 0:
             return None
+        if not (_MIN <= (state + n if verb == "incr" else state - n) <= _MAX):
+            raise IntentError("counter would overflow")
         return self.op(uid, "Incr" if verb == "incr" else "Decr", n)
 
     def draw_intent(self, rng, state):

@@ -488,7 +488,8 @@ class TestInProcess:
 
 
 class TestBatchedFrames:
-    """Frames are read in batches and the replies to one peer coalesced."""
+    """Frames are read in batches, and a batch sends each peer one
+    increment at most."""
 
     def test_flood_in_one_write_echoes_in_fewer_frames(self):
         n = 200
@@ -702,6 +703,17 @@ class TestSubprocess:
                               "--script", str(script))
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ['"hello"', "bye"]
+
+    def test_counter_overflow_is_refused_and_the_repl_goes_on(self, tmp_path):
+        script = tmp_path / "overflow.ccr"
+        script.write_text("incr 9223372036854775807\nincr 1\nshow\nquit\n")
+        proc = self.run_agent("--site", "0", "--replica", "counter",
+                              "--listen", f"127.0.0.1:{free_port()}",
+                              "--script", str(script))
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == ["counter would overflow",
+                                            "9223372036854775807", "bye"]
+        assert "Traceback" not in proc.stderr
 
     def test_stdin_repl_eof_quits(self):
         proc = self.run_agent("--site", "0", "--replica", "counter",

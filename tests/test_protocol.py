@@ -5,7 +5,9 @@ from collections import deque
 
 import pytest
 
+import ccr.protocol
 from ccr import OpId, replica_type
+from ccr.core import ApplyError, IntentError
 from ccr.protocol import (
     HOLD_LIMIT,
     Full,
@@ -17,7 +19,7 @@ from ccr.protocol import (
     SiteFaulted,
     SiteState,
     SiteStats,
-    coalesce,
+    _runs,
     quiescent,
 )
 from ccr.replicas.text import TextState
@@ -353,7 +355,7 @@ class TestHold:
         sites = mesh("counter", 2)
         a, b = sites[0], sites[1]
         first, second, third, fourth = (a.local_update(("incr", n))[0][1] for n in (1, 2, 4, 8))
-        [(_, run)] = coalesce([(1, second), (1, third), (1, fourth)])
+        run = Increment(kind="counter", sender=0, prefix_len=1, ops=a.history[1:])
         for piece in (run, second):  # a shorter piece at the same start
             assert b.handle_message(0, piece) == []
         assert b.peers[0].held == {1: run.ops}
@@ -594,7 +596,51 @@ class TestGuards:
             a.local_update(("incr", 4))
 
 
+class TestRefusedLocalOp:
+    """A local op that cannot take effect leaves the site as it was."""
+
+    @pytest.mark.parametrize("first,second", [
+        (("incr", 2**63 - 1), ("incr", 1)),
+        (("decr", 2**63 - 1), ("decr", 2)),
+    ])
+    def test_counter_overflow_is_an_intent_error(self, first, second):
+        a = mesh("counter", 2)[0]
+        a.local_update(first)
+        before = (a.history, a.next_seq, a.current)
+        with pytest.raises(IntentError, match="overflow"):
+            a.local_update(second)
+        assert (a.history, a.next_seq, a.current) == before
+        assert a.faulted is None and not a.deferred(1)
+        a.check_invariants()
+
+    def test_op_that_does_not_apply_changes_nothing(self, monkeypatch):
+        a = mesh("counter", 2)[0]
+        a.local_update(("incr", 1))
+
+        def refuse(self, state, op):
+            raise ApplyError("refused")
+
+        monkeypatch.setattr(type(a.rt), "apply", refuse)
+        with pytest.raises(ApplyError):
+            a.local_update(("incr", 1))
+        monkeypatch.undo()
+        assert (len(a.history), a.next_seq, a.current) == (1, 2, 1)
+        assert len(a.uids) == 1 and not a.deferred(1)
+        a.check_invariants()
+
+
+def ops_by_peer(replies):
+    """The ops sent to each peer over all of ``replies``, in order."""
+    sent = {}
+    for peer, m in replies:
+        sent.setdefault(peer, []).extend(m.ops)
+    return sent
+
+
 class TestCoalesce:
+    """A peer's increments that continue each other merge into one run
+    (``_runs``), which integrates like its pieces."""
+
     rt = replica_type("counter")
 
     def inc(self, prefix_len, *seqs):
@@ -602,23 +648,21 @@ class TestCoalesce:
         return Increment(kind="counter", sender=0, prefix_len=prefix_len, ops=ops)
 
     def test_contiguous_increments_merge(self):
-        merged = coalesce([(1, self.inc(0, 1)), (1, self.inc(1, 2, 3)), (1, self.inc(3, 4))])
-        assert merged == [(1, self.inc(0, 1, 2, 3, 4))]
+        merged = _runs([self.inc(0, 1), self.inc(1, 2, 3), self.inc(3, 4)])
+        assert merged == [self.inc(0, 1, 2, 3, 4)]
 
     def test_gap_stays_split(self):
-        pairs = [(1, self.inc(0, 1)), (1, self.inc(2, 3)), (1, self.inc(3, 4))]
-        assert coalesce(pairs) == [(1, self.inc(0, 1)), (1, self.inc(2, 3, 4))]
+        msgs = [self.inc(0, 1), self.inc(2, 3), self.inc(3, 4)]
+        assert _runs(msgs) == [self.inc(0, 1), self.inc(2, 3, 4)]
 
     @pytest.mark.parametrize("between", [ResyncReq(), Full(sender=0, ops=())])
     def test_other_message_blocks_merge(self, between):
-        pairs = [(1, self.inc(0, 1)), (1, between), (1, self.inc(1, 2))]
-        assert coalesce(pairs) == pairs
+        msgs = [self.inc(0, 1), between, self.inc(1, 2)]
+        assert _runs(msgs) == msgs
 
-    def test_peers_stay_independent(self):
-        pairs = [(1, self.inc(0, 1)), (2, self.inc(5, 1)), (2, ResyncReq()),
-                 (1, self.inc(1, 2)), (2, self.inc(6, 2)), (2, self.inc(7, 3))]
-        assert coalesce(pairs) == [(1, self.inc(0, 1, 2)), (2, self.inc(5, 1)),
-                                   (2, ResyncReq()), (2, self.inc(6, 2, 3))]
+    def test_unmerged_message_is_passed_on_as_it_is(self):
+        msgs = [self.inc(0, 1), self.inc(2, 3)]
+        assert all(got is sent for got, sent in zip(_runs(msgs), msgs))
 
     def test_merged_stream_integrates_like_its_pieces(self):
         a = SiteState(0, self.rt)
@@ -629,21 +673,23 @@ class TestCoalesce:
         for b in (one_by_one, at_once):
             b.connect_peer(0)
         echoes = [m for _, inc in pieces for m in one_by_one.handle_message(0, inc)]
-        [(_, whole)] = coalesce(pieces)
-        assert at_once.handle_message(0, whole) == coalesce(echoes)
+        whole = Increment(kind="counter", sender=0, prefix_len=0, ops=a.history[:])
+        [(peer, echo)] = at_once.handle_message(0, whole)
+        assert {peer: list(echo.ops)} == ops_by_peer(echoes)
         assert at_once.history == one_by_one.history
         assert at_once.current == one_by_one.current == 15
 
     def test_kinds_stay_split(self):
         other = Increment(kind="text", sender=0, prefix_len=1, ops=self.inc(1, 2).ops)
-        pairs = [(1, self.inc(0, 1)), (1, other), (1, self.inc(2, 3))]
-        assert coalesce(pairs) == pairs
+        msgs = [self.inc(0, 1), other, self.inc(2, 3)]
+        assert _runs(msgs) == msgs
 
     @pytest.mark.parametrize("kind", ["counter", "text", "lww", "queue", "socialmedia"])
     def test_run_against_concurrent_ops_integrates_like_its_pieces(self, kind):
         """A receiver holding concurrent local ops (a non-empty remainder)
         and a third peer ends in the same state from the merged run as from
-        its pieces, and its replies are the pieces' replies coalesced."""
+        its pieces, and sends each peer the ops the pieces did, in one
+        increment."""
         rt = replica_type(kind)
         rng = random.Random(f"run-{kind}")
         a = SiteState(0, rt)
@@ -667,8 +713,10 @@ class TestCoalesce:
         one_by_one, at_once = receiver(), receiver()
         assert all(cur.remainder for cur in one_by_one.peers.values())
         replies = [m for _, inc in pieces for m in one_by_one.handle_message(0, inc)]
-        [(_, run)] = coalesce(pieces)
-        assert at_once.handle_message(0, run) == coalesce(replies)
+        run = Increment(kind=rt.name, sender=0, prefix_len=0, ops=a.history[:])
+        merged = at_once.handle_message(0, run)
+        assert len(merged) == len(ops_by_peer(merged)) == 2
+        assert ops_by_peer(merged) == ops_by_peer(replies)
         assert at_once.history == one_by_one.history
         assert at_once.current == one_by_one.current
         for peer, cur in one_by_one.peers.items():
@@ -712,13 +760,34 @@ class TestHandleBatch:
         assert by_batch.history == by_message.history
         assert by_batch.stats == by_message.stats
 
+    def test_run_of_a_hundred_integrates_and_sends_once(self, monkeypatch):
+        # 100 one-op increments that continue each other: one sweep, one
+        # increment to each other peer, and one echo of all 100 on flush.
+        _, incs = self.sender(100)
+        b = self.receiver()
+        b.connect_peer(3)
+        calls = [0]
+        real = ccr.protocol.transform_patch
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ccr.protocol, "transform_patch", counting)
+        out = b.handle_batch(0, incs)
+        assert calls[0] == 1
+        assert [(peer, type(m), m.prefix_len, len(m.ops)) for peer, m in out] == [
+            (2, Increment, 0, 100), (3, Increment, 0, 100)]
+        [(peer, echo)] = b.flush(0)
+        assert (peer, type(echo), echo.prefix_len, len(echo.ops)) == (0, Increment, 0, 100)
+
     def test_kind_mismatch_mid_batch_keeps_earlier_commits(self):
         _, incs = self.sender(3)
         other = incs[2]._replace(kind="text")
         b, ref = self.receiver(), self.receiver()
         with pytest.raises(ProtocolError, match="kind mismatch") as err:
             b.handle_batch(0, [incs[0], incs[1], other, incs[2]])
-        [(_, run)] = coalesce([(0, incs[0]), (0, incs[1])])
+        run = Increment(kind="counter", sender=0, prefix_len=0, ops=incs[0].ops + incs[1].ops)
         assert [peer for peer, _ in err.value.replies] == [2]
         replies = err.value.replies + b.flush(0)
         assert self.by_peer(replies) == self.by_peer(ref.handle_message(0, run))
