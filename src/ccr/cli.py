@@ -42,6 +42,21 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
     return run_agent(cfg)
 
 
+def _parse(ap: argparse.ArgumentParser, argv: Optional[List[str]], **least: int):
+    """Parse ``argv``: a count below its least or an unknown kind is a usage error."""
+    from .core import IntentError
+    from .replicas import replica_type
+    args = ap.parse_args(argv)
+    for flag, low in least.items():
+        if getattr(args, flag) < low:
+            ap.error(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
+    try:
+        replica_type(args.replica)
+    except IntentError as e:
+        ap.error(str(e))
+    return args
+
+
 def sim_main(argv: Optional[List[str]] = None) -> int:
     from .sim import SimConfig, run_trial
 
@@ -55,11 +70,7 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--topology", choices=("full", "ring", "chain"), default="full")
     ap.add_argument("--reorder", action="store_true", help="allow out-of-order delivery")
     ap.add_argument("--duplicate", action="store_true", help="redeliver some messages")
-    args = ap.parse_args(argv)
-    for flag, value, least in (("sites", args.sites, 1), ("ops", args.ops, 0),
-                               ("trials", args.trials, 1)):
-        if value < least:
-            ap.error(f"--{flag} must be at least {least}, got {value}")
+    args = _parse(ap, argv, sites=1, ops=0, trials=1)
 
     t0 = time.monotonic()
     failed: List[dict] = []
@@ -112,7 +123,7 @@ def props_main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--trials", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--check", choices=(*PROPERTIES, "all"), default="all")
-    args = ap.parse_args(argv)
+    args = _parse(ap, argv, trials=1)
 
     checks = PROPERTIES if args.check == "all" else (args.check,)
     report = check_properties(args.replica, args.trials, args.seed, checks=checks)

@@ -20,9 +20,9 @@ import random
 from itertools import permutations
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-from .core import CcrError, OpId, Patch, apply_patch, confluent_rep, transform_patch
+from .core import CcrError, IntentError, OpId, Patch, apply_patch, confluent_rep, transform_patch
 from .replicas import replica_type
-from .sim import random_intent
+from .replicas.base import DRAWS
 
 PROPERTIES = ("tp1", "sym", "idem", "comm", "tp2")
 
@@ -156,27 +156,25 @@ def shrink_counterexample(rt, prop: str, base: Any, patches: Tuple[Patch, ...]) 
     return tuple(pats)
 
 
-def _reachable_state(rt, rng: random.Random) -> Any:
-    cur = rt.initial()
-    for seq in range(rng.randint(0, 5)):
-        intent = random_intent(rt, rng, cur)
-        if intent is None:
-            break
-        cur = rt.apply(cur, rt.gen_effective(cur, intent, OpId(9, seq + 1)))
-    return cur
-
-
-def _random_patch(rt, rng: random.Random, base: Any, site: int) -> Patch:
+def random_ops(rt, rng: random.Random, state: Any, site: int, n: int) -> Tuple[Patch, Any]:
+    """Up to ``n`` ops by ``site`` from ``state``, each effective where the
+    ones before it leave off, and the state after them.  The ops stop early
+    when ``DRAWS`` draws in a row find no effective intent."""
     ops = []
-    cur = base
-    for seq in range(1, rng.randint(1, 4) + 1):
-        intent = random_intent(rt, rng, cur)
-        if intent is None:
+    for seq in range(1, n + 1):
+        for _ in range(DRAWS):
+            intent = rt.draw_intent(rng, state)
+            try:
+                op = rt.gen_effective(state, intent, OpId(site, seq))
+            except IntentError:
+                continue
+            if op is not None:
+                break
+        else:
             break
-        op = rt.gen_effective(cur, intent, OpId(site, seq))
         ops.append(op)
-        cur = rt.apply(cur, op)
-    return tuple(ops)
+        state = rt.apply(state, op)
+    return tuple(ops), state
 
 
 def check_properties(kind: str, trials: int, seed: int,
@@ -193,10 +191,8 @@ def check_properties(kind: str, trials: int, seed: int,
     rng = random.Random(f"{kind}:{seed}:props")
     report = PropertyReport(kind, trials, seed, tuple(checks))
     for trial in range(trials):
-        base = _reachable_state(rt, rng)
-        p = _random_patch(rt, rng, base, site=0)
-        q = _random_patch(rt, rng, base, site=1)
-        r = _random_patch(rt, rng, base, site=2)
+        _, base = random_ops(rt, rng, rt.initial(), 9, rng.randint(0, 5))
+        p, q, r = (random_ops(rt, rng, base, site, rng.randint(1, 4))[0] for site in range(3))
         for prop in checks:
             detail = check_one(rt, prop, base, p, q, r)
             if detail is None:

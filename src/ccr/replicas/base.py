@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core import IntentError, Operation, OpId, Patch
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+DRAWS = 40  # intents drawn at most in search of one that takes effect
 # Command arguments read as integers; every other argument is a string.
 _INT_ARGS = frozenset({"amount", "position", "length"})
 
@@ -76,7 +77,7 @@ class ReplicaType:
 
     def draw_intent(self, rng: random.Random, state: Any) -> Tuple[Any, ...]:
         """A random intent for ``state``, which may turn out ineffective or
-        malformed; ``ccr.sim.random_intent`` draws again then."""
+        malformed; the caller then draws again, ``DRAWS`` times at most."""
         raise NotImplementedError
 
     def digest_value(self, state: Any) -> Any:

@@ -1,6 +1,6 @@
 """Signed 64-bit counter.  Incr and Decr commute, so transformation never
-rewrites anything; overflow is an error, not wraparound: an intent that
-would overflow is refused, and concurrent ops that overflow fail to apply."""
+rewrites anything.  An intent that would overflow is refused; concurrent ops
+that overflow together wrap around, which commutes, so every site agrees."""
 
 from __future__ import annotations
 
@@ -26,9 +26,7 @@ class CounterType(ReplicaType):
             v = state - n
         else:
             raise ApplyError(f"unknown counter op {tag!r}")
-        if not (_MIN <= v <= _MAX):
-            raise ApplyError("counter overflow")
-        return v
+        return (v - _MIN) % 2**64 + _MIN
 
     def transform_prim(self, a, b):
         return (a,), (b,)

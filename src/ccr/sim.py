@@ -2,9 +2,10 @@
 
 A trial wires up real SiteState machines over a logical-time event queue: no
 sockets, no wall clock, every choice drawn from one seeded RNG, so a seed
-reproduces a trial exactly.  Local updates (random effective intents, drawn
-by the kind's ``draw_intent``) are scheduled across a time horizon;
-deliveries take a small random delay.  Without --reorder, deliveries between
+reproduces a trial exactly.  Local updates are scheduled across a time
+horizon; each offers its site intents drawn by the kind's ``draw_intent``
+until one takes effect, so the site itself tests each draw, once.
+Deliveries take a small random delay.  Without --reorder, deliveries between
 a pair stay FIFO like a stream socket; with it they may overtake.
 --duplicate occasionally delivers a message once more, later.
 Every message due on one link at one tick is delivered as one batch, in
@@ -33,10 +34,10 @@ import heapq
 import random
 from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .core import CcrError, IntentError, OpId
+from .core import CcrError, IntentError
 from .protocol import SiteState, SiteStats, quiescent
 from .replicas import replica_type
-from .replicas.base import ReplicaType
+from .replicas.base import DRAWS
 
 # Ticks a deferred echo waits for a later increment on its link to carry it.
 ECHO_DELAY = 4
@@ -86,16 +87,18 @@ def topology_edges(topology: str, n: int) -> List[Tuple[int, int]]:
     raise ValueError(f"unknown topology {topology!r}")
 
 
-def random_intent(rt: ReplicaType, rng: random.Random, state: Any) -> Optional[Tuple[Any, ...]]:
-    """Draw an intent effective on ``state``, or None if none can be found."""
-    probe = OpId(-1, 0)
-    for _ in range(40):
-        intent = rt.draw_intent(rng, state)
+def random_update(site: SiteState, rng: random.Random) -> Optional[Tuple[Tuple[Any, ...], list]]:
+    """The first of up to ``DRAWS`` drawn intents that grows ``site``'s
+    history, with its replies, or None; the others leave the site as it was."""
+    for _ in range(DRAWS):
+        intent = site.rt.draw_intent(rng, site.current)
+        n = len(site.history)
         try:
-            if rt.gen_effective(state, intent, probe) is not None:
-                return intent
+            out = site.local_update(intent)
         except IntentError:
             continue
+        if len(site.history) > n:
+            return intent, out
     return None
 
 
@@ -186,13 +189,12 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
             if kind == "update":
                 site, intent = payload
                 s = sites[site]
-                if intent is None:
-                    intent = random_intent(rt, plan_rng, s.current)
-                    if intent is None:
-                        continue
                 n = len(s.history)
                 try:
-                    out = s.local_update(intent)
+                    if intent is None:
+                        intent, out = random_update(s, plan_rng) or (None, [])
+                    else:
+                        out = s.local_update(intent)
                 except IntentError:
                     continue  # scripted intent no longer fits the state
                 if len(s.history) > n:

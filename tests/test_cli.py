@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ccr.cli import sim_main
+from ccr.cli import props_main, sim_main
 from ccr.sim import SimConfig, run_trial
 from support import AGENT_ENV
 
@@ -30,6 +30,10 @@ def test_agent_loads_no_simulator_checker_or_secrets():
     code = "import ccr.cli, ccr.agent"
     assert loaded(code, ("ccr.sim", "ccr.props", "secrets", "dataclasses")) == []
     assert loaded(code, ("asyncio",)) == ["asyncio"]  # the probe can see a load
+
+
+def test_checker_loads_no_simulator():
+    assert loaded("import ccr.props", ("ccr.sim",)) == []
 
 
 def test_sim_report_stats_keep_their_order(capsys):
@@ -60,3 +64,18 @@ def test_sim_rejects_counts_out_of_range(args, capsys):
     assert e.value.code == 2
     assert f"{args[0]} must be at least" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("main, args, error", [
+    (props_main, ["--replica", "counter", "--trials", "-3"], "--trials must be at least 1"),
+    (props_main, ["--replica", "counter", "--trials", "0"], "--trials must be at least 1"),
+    (props_main, ["--replica", "nosuch"], "unknown replica kind"),
+    (sim_main, ["--replica", "nosuch"], "unknown replica kind"),
+    (sim_main, ["--replica", "map<counter"], "bad kind syntax"),
+])
+def test_bad_input_is_a_usage_error(main, args, error, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(args)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert error in err.splitlines()[-1]

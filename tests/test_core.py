@@ -14,8 +14,8 @@ from ccr import (
     is_identity,
     transform_patch,
 )
+from ccr.props import random_ops
 from ccr.replicas import replica_type
-from ccr.sim import random_intent
 from support import count_applies
 
 C = replica_type("counter")
@@ -149,26 +149,15 @@ class TestStateFreeSweep:
         rng = random.Random(f"state-free-{kind}")
         cases = []
         for _ in range(60):
-            _, base = _random_patch(rt, rng, rt.initial(), site=9)
-            p, _ = _random_patch(rt, rng, base, site=0)
-            q, _ = _random_patch(rt, rng, base, site=1)
+            _, base = random_ops(rt, rng, rt.initial(), 9, rng.randint(1, 4))
+            p, _ = random_ops(rt, rng, base, 0, rng.randint(1, 4))
+            q, _ = random_ops(rt, rng, base, 1, rng.randint(1, 4))
             cases.append((base, p, q))
         calls = count_applies(monkeypatch)
         for base, p, q in cases:
             transform_patch(rt, base, p, q)
             confluent_rep(rt, base, p, q)
         assert calls[0] == 0
-
-
-def _random_patch(rt, rng, state, site):
-    """Up to four effective ops from ``state``; returns (patch, end state)."""
-    ops = []
-    for seq in range(1, rng.randint(1, 4) + 1):
-        intent = random_intent(rt, rng, state)
-        op = rt.gen_effective(state, intent, OpId(site, seq))
-        ops.append(op)
-        state = rt.apply(state, op)
-    return tuple(ops), state
 
 
 class TestConfluentRep:

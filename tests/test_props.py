@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+import ccr.props
 from ccr.cli import props_main
 from ccr.core import OpId
 from ccr.props import PROPERTIES, Counterexample, check_one, check_properties, shrink_counterexample
@@ -109,6 +111,26 @@ class TestHarness:
         base = rt.initial()
         for prop in PROPERTIES:
             assert check_one(rt, prop, base, (), (), ()) is None
+
+    # What check_properties(kind, 100, 3) hands to check_one: each check's
+    # base digest and patches, uids included, hashed in call order.  The
+    # generator's RNG stream and the ops it makes must leave these as they are.
+    @pytest.mark.parametrize("kind, pinned", [
+        ("counter", "e70610e136365092"), ("addmult", "43f9d849d5019996"),
+        ("lww", "8b79ca4d4d4d6a7a"), ("eset", "c63aca1b240c3988"),
+        ("queue", "9eb61c07aef40f80"), ("text", "27df1267d4613228"),
+        ("socialmedia", "1964ac443739a3f0")])
+    def test_inputs_are_pinned(self, kind, pinned, monkeypatch):
+        h = hashlib.sha256()
+        real = ccr.props.check_one
+
+        def recording(rt, prop, base, *patches):
+            h.update(repr((prop, rt.digest(base), patches)).encode())
+            return real(rt, prop, base, *patches)
+
+        monkeypatch.setattr(ccr.props, "check_one", recording)
+        check_properties(kind, 100, 3)
+        assert h.hexdigest()[:16] == pinned
 
     def test_summary_mentions_counts(self):
         report = check_properties("counter", 20, 0)

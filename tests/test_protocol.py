@@ -23,7 +23,7 @@ from ccr.protocol import (
     quiescent,
 )
 from ccr.replicas.text import TextState
-from ccr.sim import random_intent
+from ccr.sim import random_update
 from support import count_applies
 
 
@@ -88,6 +88,18 @@ class TestTwoSites:
         assert sites[0].make_increment(1) is None
         sites[0].local_update(("incr", 1))
         assert sites[0].make_increment(1) is None  # already queued by the update
+
+    def test_concurrent_counter_ops_wrap_to_one_value(self):
+        # Each op is legal where it was made; together they pass 2**63 - 1,
+        # and every site wraps to the same value instead of faulting.
+        sites = mesh("counter", 2)
+        pending = deque()
+        pending.extend(outbox(0, sites[0].local_update(("incr", 2**63 - 1))))
+        pending.extend(outbox(1, sites[1].local_update(("incr", 1))))
+        drain(sites, pending)
+        assert sites[0].current == sites[1].current == -(2**63)
+        assert sites[0].faulted is None and sites[1].faulted is None
+        assert quiescent(sites, 0)
 
     def test_quiescent_false_with_undelivered(self):
         sites = mesh("counter", 2)
@@ -459,8 +471,7 @@ class TestIncarnation:
         sites = mesh(kind, 2, verify=True)
         a, b = sites[0], sites[1]
         def edit(site):
-            intent = random_intent(site.rt, rng, site.current)
-            return outbox(site.site, site.local_update(intent))
+            return outbox(site.site, random_update(site, rng)[1])
 
         a.handle_message(1, self.hello(1, 1, kind=kind))
         for _ in range(3):
@@ -696,8 +707,8 @@ class TestCoalesce:
         a.connect_peer(1)
         pieces = []
         while len(pieces) < 8:
-            intent = random_intent(rt, rng, a.current)
-            pieces += a.local_update(intent) if intent is not None else []
+            _, out = random_update(a, rng) or (None, [])
+            pieces += out
 
         def receiver():
             b = SiteState(1, rt)
@@ -705,9 +716,7 @@ class TestCoalesce:
             b.connect_peer(2)
             r = random.Random(f"concurrent-{kind}")
             while len(b.history) < 5:
-                intent = random_intent(rt, r, b.current)
-                if intent is not None:
-                    b.local_update(intent)
+                random_update(b, r)
             return b
 
         one_by_one, at_once = receiver(), receiver()
@@ -857,8 +866,7 @@ def test_verified_cache_under_shuffled_delivery(kind, nsites, seed):
     for _ in range(5):
         batch = []
         for i in sites:
-            intent = random_intent(sites[i].rt, rng, sites[i].current)
-            batch.extend(outbox(i, sites[i].local_update(intent)))
+            batch.extend(outbox(i, random_update(sites[i], rng)[1]))
         rng.shuffle(batch)
         pending = deque()
         for item in batch:
@@ -882,7 +890,7 @@ def test_partition_heal_converges(kind):
     sites = {i: SiteState(i, rt) for i in range(2)}
     for s in sites.values():
         for _ in range(200):
-            s.local_update(random_intent(rt, rng, s.current))
+            random_update(s, rng)
     for i, s in sites.items():
         s.connect_peer(1 - i)
     drain(sites, deque((i, 1 - i, s.make_increment(1 - i)) for i, s in sites.items()))
@@ -909,9 +917,8 @@ def test_lossy_reordering_links_resync_and_converge():
         for rnd in range(6):
             lossy = rnd < 5
             for i in sites:
-                intent = random_intent(sites[i].rt, rng, sites[i].current)
-                if intent is not None:
-                    pending.extend(outbox(i, sites[i].local_update(intent)))
+                _, out = random_update(sites[i], rng) or (None, [])
+                pending.extend(outbox(i, out))
             while pending:
                 while pending:
                     src, dst, msg = pending.pop(rng.randrange(len(pending)))
@@ -977,9 +984,9 @@ def test_restarted_site_converges_on_reordering_links(kind):
                     if j != restarted:
                         dial(restarted, j)
             for i, s in sites.items():
-                intent = random_intent(rt, rng, s.current)
-                if intent is not None:
-                    pending.extend(outbox(i, s.local_update(intent)))
+                made = random_update(s, rng)
+                if made is not None:
+                    pending.extend(outbox(i, made[1]))
                     if i == restarted and step >= restart_at:
                         mine.add(s.history[-1].uid)
             for _ in range(rng.randrange(len(pending) + 1)):
@@ -1120,8 +1127,7 @@ def test_text_ops_never_build_the_byte_mask(monkeypatch):
     for _ in range(150):
         pending = deque()
         for i in (0, 1):  # both edit before either hears the other
-            intent = random_intent(sites[i].rt, rng, sites[i].current)
-            pending += outbox(i, sites[i].local_update(intent))
+            pending += outbox(i, random_update(sites[i], rng)[1])
         drain(sites, pending)
     assert len(sites[0].history) > 250
     assert reads[0] == 0

@@ -2,16 +2,18 @@ import hashlib
 
 import pytest
 
-from ccr.core import OpId, TransformResult
+from ccr.core import TransformResult
+from ccr.props import check_properties
 from ccr.protocol import Increment, SiteState
 from ccr.replicas import replica_type
+from ccr.replicas.base import ReplicaType
 from ccr.sim import (
     SimConfig,
-    random_intent,
+    random_update,
     run_trial,
     topology_edges,
 )
-from support import use_positional_text
+from support import count_calls, use_positional_text
 
 CLEAN_KINDS = ["counter", "addmult", "lww", "eset", "queue", "socialmedia"]
 
@@ -292,19 +294,14 @@ def test_injected_broken_transform_is_detected(monkeypatch):
     assert failed > 0
 
 
-def test_random_intent_always_effective():
-    probe = OpId(-1, 0)
+def test_random_update_always_takes_effect():
     for kind in CLEAN_KINDS + ["text"]:
-        rt = replica_type(kind)
+        site = SiteState(0, replica_type(kind))
         import random as _r
         rng = _r.Random(f"ri-{kind}")
-        state = rt.initial()
-        for _ in range(30):
-            intent = random_intent(rt, rng, state)
-            assert intent is not None
-            op = rt.gen_effective(state, intent, probe)
-            assert op is not None
-            state = rt.apply(state, op)
+        for made in range(1, 31):
+            assert random_update(site, rng) is not None
+            assert len(site.history) == made
 
 
 # The first 20 draws per kind from random.Random(2024), each applied before
@@ -347,14 +344,23 @@ PINNED_DRAWS = {
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_DRAWS))
-def test_random_intent_draw_order_is_pinned(kind):
+def test_random_update_draw_order_is_pinned(kind):
     import random as _r
-    rt = replica_type(kind)
+    site = SiteState(0, replica_type(kind))
     rng = _r.Random(2024)
-    state = rt.initial()
-    draws = []
-    for seq in range(1, 21):
-        intent = random_intent(rt, rng, state)
-        draws.append(intent)
-        state = rt.apply(state, rt.gen_effective(state, intent, OpId(0, seq)))
+    draws = [random_update(site, rng)[0] for _ in range(20)]
     assert draws == PINNED_DRAWS[kind]
+
+
+@pytest.mark.parametrize("kind", ["text", "queue"])
+@pytest.mark.parametrize("run", [
+    lambda kind: run_trial(SimConfig(kind=kind, sites=4, seed=3, topology="ring",
+                                     reorder=True, duplicate=True)),
+    lambda kind: check_properties(kind, 50, 3),
+], ids=["run_trial", "check_properties"])
+def test_each_draw_is_generated_once(kind, run, monkeypatch):
+    draws = count_calls(monkeypatch, ReplicaType, "draw_intent")
+    gens = count_calls(monkeypatch, ReplicaType, "gen_effective")
+    run(kind)
+    assert draws[0] > 0
+    assert gens == draws

@@ -7,7 +7,7 @@ import pytest
 from ccr.core import OpId, WireError
 from ccr.protocol import Full, Hello, Increment, ResyncReq, SiteState
 from ccr.replicas import replica_type
-from ccr.sim import random_intent
+from ccr.sim import random_update
 from ccr.wire import decode_message, decode_op, encode_message, encode_op
 
 TEXT = replica_type("text")
@@ -157,9 +157,7 @@ class TestRoundTrips:
         rng = random.Random(kind)
         s = SiteState(0, rt)
         for _ in range(40):
-            intent = random_intent(rt, rng, s.current)
-            if intent is not None:
-                s.local_update(intent)
+            random_update(s, rng)
         assert len(s.history) > 20
         self.round(rt, Increment(rt.name, 0, 0, s.history[:]))
         self.round(rt, Full(0, s.history))
