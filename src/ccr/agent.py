@@ -36,7 +36,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .core import CcrError, IntentError, WireError
 from .protocol import Hello, Message, ProtocolError, SiteFaulted, SiteState
 from .repl import Addr, ReplError, parse_line, repl_eval
-from .repl import parse_addr  # noqa: F401  (ccr.agent.parse_addr stays importable)
 from .replicas import replica_type
 from .wire import decode_message, encode_message
 

@@ -64,16 +64,15 @@ full computation, since the known prefix transforms to identity against our
 history by construction.  The sweep reads no state, so no state of the
 peer's is kept; the peer's ops are checked where their rewritten forms are
 applied to ``current`` at commit, and an op that does not apply faults the
-site there.  ``SiteState(verify=True)`` re-runs the full computation on every
-receipt and asserts both routes agree.
+site there.  The tests' ``VerifiedSite`` re-runs the full computation at
+every receipt and asserts that both routes agree.
 
 The bookkeeping of one op costs the same at any history length.  Appending
 must refuse an op whose uid the history already holds (the overlap check of
 ``core.compose``); a set of every integrated uid turns that check into one
 lookup per new op.  The history is a list that only grows, and the one
 per-peer list, the remainder, grows in place too.  Of the peer's stream a
-cursor keeps only its length (and, under ``verify=True``, the ops the
-reference check needs).  ``history`` is read as a ``HistoryView``: a
+cursor keeps only its length.  ``history`` is read as a ``HistoryView``: a
 snapshot of the log fixed at its length when taken, which costs O(1)
 because no entry of the log ever changes or goes away.  ``Full`` carries
 such a view, and a message in flight may hold one while this site moves on.
@@ -189,8 +188,8 @@ class HistoryView:
 class PeerCursor:
     """What this site knows of one peer's stream and what it has sent it."""
 
-    __slots__ = ("sent_len", "recv_len", "incarnation", "recv_ops", "remainder",
-                 "held", "resync_pending")
+    __slots__ = ("sent_len", "recv_len", "incarnation", "remainder", "held",
+                 "resync_pending")
 
     def __init__(self) -> None:
         self.sent_len = 0
@@ -198,8 +197,6 @@ class PeerCursor:
         # Hello named (None: it named none).
         self.recv_len = 0
         self.incarnation: Optional[int] = None
-        # Those ops themselves, kept only for SiteState(verify=True).
-        self.recv_ops: List[Operation] = []
         # Local history rewritten into the peer's frame (see module
         # docstring); extended in place.
         self.remainder: List[Operation] = []
@@ -245,17 +242,15 @@ def _runs(msgs: Sequence[Message]) -> Sequence[Message]:
 
 
 class SiteState:
-    def __init__(self, site: int, rt: ReplicaType, verify: bool = False):
+    def __init__(self, site: int, rt: ReplicaType):
         self.site = site
         self.rt = rt
-        self.base = rt.initial()
         self.current = rt.initial()
         self._log: List[Operation] = []  # the history; only ever extended
         self.uids: Set[OpId] = set()  # uid of every op in history
         self.next_seq = 1
         self.peers: Dict[int, PeerCursor] = {}
         self.faulted: Optional[str] = None
-        self.verify = verify
         self.stats = SiteStats()
         self._deferring: Optional[int] = None  # sender of the batch in hand
 
@@ -281,7 +276,6 @@ class SiteState:
         if incarnation is None or incarnation != cur.incarnation:
             cur.recv_len = 0
             cur.remainder = list(self._log)
-            cur.recv_ops = []
         cur.incarnation = incarnation
         cur.sent_len = min(known_len, len(self._log))
         cur.held.clear()
@@ -363,7 +357,7 @@ class SiteState:
         else:
             raise ProtocolError(f"unknown message {msg!r}")
         out = self._piece(from_site, start, msg.ops)
-        if self._deferring is None:
+        if self._deferring is None and len(self._log) > n:
             out += self._broadcast(n, None)
         return out
 
@@ -438,9 +432,6 @@ class SiteState:
             # The ops apply in the peer's frame, which is never built: the
             # sweep needs no state.
             fresh, rem = transform_patch(self.rt, None, ops, cur.remainder)
-            if self.verify:
-                cur.recv_ops.extend(ops)
-                self._verify_against_direct(cur.recv_ops, fresh, rem)
             cur.recv_len += len(ops)
             cur.remainder = list(rem)
             if not is_identity(fresh):
@@ -498,17 +489,8 @@ class SiteState:
         if self.faulted is not None:
             raise SiteFaulted(f"site {self.site} previously faulted: {self.faulted}")
 
-    def _verify_against_direct(self, full_patch: Patch, fresh: Patch, rem: Patch) -> None:
-        direct = transform_patch(self.rt, self.base, full_patch, self._log)
-        assert direct.left == fresh, (
-            f"incremental/direct mismatch (new ops): {direct.left} vs {fresh}"
-        )
-        assert direct.right == rem, (
-            f"incremental/direct mismatch (remainder): {direct.right} vs {rem}"
-        )
-
     def check_invariants(self) -> None:
-        assert self.current == apply_patch(self.rt, self.base, self._log)
+        assert self.current == apply_patch(self.rt, self.rt.initial(), self._log)
         assert self.uids == {op.uid for op in self._log}
         # No uid appears twice, across incarnations too; the fragments of a
         # split deletion share theirs, side by side.

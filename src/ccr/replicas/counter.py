@@ -53,7 +53,7 @@ class CounterType(ReplicaType):
         return {"type": body[0], "n": body[1]}
 
     def decode_body(self, obj):
-        tag = obj.get("type")
-        if tag not in ("Incr", "Decr") or not is_int(obj.get("n")):
+        tag, n = obj.get("type"), obj.get("n")
+        if tag not in ("Incr", "Decr") or not is_int(n) or not 0 < abs(n) < 2**64:
             raise WireError(f"bad counter op: {obj!r}")
-        return (tag, obj["n"])
+        return (tag, n)

@@ -84,9 +84,10 @@ class QueueType(ReplicaType):
     def decode_body(self, obj):
         tag = obj.get("type")
         if tag == "EnqAt":
-            if not is_int(obj.get("k")) or not isinstance(obj.get("x"), str):
+            k, x = obj.get("k"), obj.get("x")
+            if not (is_int(k) and k >= 0 and isinstance(x, str)):
                 raise WireError(f"bad queue op: {obj!r}")
-            return ("EnqAt", obj["k"], obj["x"])
+            return ("EnqAt", k, x)
         if tag == "Deq":
             return ("Deq", decode_uid(obj.get("target")))
         raise WireError(f"bad queue op: {obj!r}")

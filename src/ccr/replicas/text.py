@@ -242,11 +242,13 @@ class TextType(ReplicaType):
     def decode_body(self, obj):
         tag = obj.get("type")
         if tag == "Ins":
-            if not is_int(obj.get("k")) or not isinstance(obj.get("s"), str):
+            k, s = obj.get("k"), obj.get("s")
+            if not (is_int(k) and k >= 0 and isinstance(s, str) and s):
                 raise WireError(f"bad text op: {obj!r}")
-            return ("Ins", obj["k"], obj["s"])
+            return ("Ins", k, s)
         if tag == "Del":
-            if not is_int(obj.get("k")) or not is_int(obj.get("n")):
+            k, n = obj.get("k"), obj.get("n")
+            if not (is_int(k) and k >= 0 and is_int(n) and n >= 1):
                 raise WireError(f"bad text op: {obj!r}")
-            return ("Del", obj["k"], obj["n"])
+            return ("Del", k, n)
         raise WireError(f"bad text op: {obj!r}")

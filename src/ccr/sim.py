@@ -51,7 +51,6 @@ class SimConfig(NamedTuple):
     topology: str = "full"  # full | ring | chain
     reorder: bool = False
     duplicate: bool = False
-    verify: bool = False
     max_events: int = 1_000_000
 
 
@@ -112,7 +111,7 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
     plan_rng = random.Random(f"{cfg.seed}:plan")
     net_rng = random.Random(f"{cfg.seed}:net")
     rt = replica_type(cfg.kind)
-    sites = {i: SiteState(i, rt, verify=cfg.verify) for i in range(cfg.sites)}
+    sites = {i: SiteState(i, rt) for i in range(cfg.sites)}
     for i, j in topology_edges(cfg.topology, cfg.sites):
         sites[i].connect_peer(j)
         sites[j].connect_peer(i)

@@ -1,12 +1,15 @@
-"""Shared test fixtures: how to start an agent, and text kinds with known
-transform defects for checking that the harnesses catch them."""
+"""Shared test fixtures: how to start an agent, a site that checks every
+receipt against the direct transform, and text kinds with known transform
+defects for checking that the harnesses catch them."""
 
 import os
 import shutil
 import sys
 
 import ccr
-from ccr.core import ApplyError
+import ccr.sim
+from ccr.core import ApplyError, transform_patch
+from ccr.protocol import SiteState
 from ccr.replicas.base import ReplicaType
 from ccr.replicas.text import TextType
 
@@ -43,6 +46,43 @@ def count_applies(monkeypatch):
     """Count every call to ``apply`` on the replica classes, composites and
     their components included; returns a one-item list holding the count."""
     return count_calls(monkeypatch, ReplicaType, "apply")
+
+
+class VerifiedSite(SiteState):
+    """A ``SiteState`` that checks its per-peer remainder cache at every
+    receipt against the computation it stands for: the peer's whole stream
+    so far, transformed against the whole history, must yield exactly the
+    ops this receipt appends and the remainder the cursor keeps.  To do so
+    it keeps each peer's integrated ops, which ``SiteState`` never does."""
+
+    def __init__(self, site, rt):
+        super().__init__(site, rt)
+        self.recv_ops = {}  # peer -> the ops of its stream integrated so far
+
+    def connect_peer(self, peer_site, known_len=0, incarnation=None):
+        super().connect_peer(peer_site, known_len, incarnation)
+        if self.peers[peer_site].recv_len == 0:  # the stream starts over
+            self.recv_ops[peer_site] = []
+
+    def _integrate(self, from_site, ops):
+        if not ops:
+            return super()._integrate(from_site, ops)
+        stream = self.recv_ops[from_site] + list(ops)
+        direct = transform_patch(self.rt, None, stream, self.history)
+        n = len(self.history)
+        super()._integrate(from_site, ops)
+        self.recv_ops[from_site] = stream
+        fresh, rem = self.history[n:], tuple(self.peers[from_site].remainder)
+        assert direct.left == fresh, (
+            f"incremental/direct mismatch (new ops): {direct.left} vs {fresh}")
+        assert direct.right == rem, (
+            f"incremental/direct mismatch (remainder): {direct.right} vs {rem}")
+
+
+def verify_trials(monkeypatch):
+    """Build every site of ``ccr.sim.run_trial`` as a ``VerifiedSite`` for
+    one test."""
+    monkeypatch.setattr(ccr.sim, "SiteState", VerifiedSite)
 
 
 class BrokenTieText(TextType):

@@ -10,9 +10,10 @@ import pytest
 
 import ccr.agent as agent_mod
 import ccr.repl as repl_mod
-from ccr.agent import Agent, AgentConfig, parse_addr
+from ccr.agent import Agent, AgentConfig
 from ccr.core import OpId
 from ccr.protocol import Full, Hello, Increment, ResyncReq, SiteState
+from ccr.repl import parse_addr
 from ccr.replicas import replica_type
 from ccr.wire import decode_message, encode_message
 from support import AGENT, AGENT_ENV, count_calls
@@ -638,6 +639,33 @@ class TestBatchedFrames:
             asyncio.run(flow())
         assert any("dropping site 1" in r.getMessage() for r in caplog.records)
         assert not any(r.exc_info for r in caplog.records)  # a warning, not a traceback
+
+    def test_impossible_op_drops_only_its_link(self, caplog):
+        # An op no site can make is a bad frame, not a fault of this site.
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="text", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("text", 1).connect(pa)
+                y = await RawPeer("text", 2).connect(pa)
+                await wait_for(lambda: 2 in a.links)
+                x.writer.write(x.frames_of([("Ins", 0, "ab"), ("Ins", -1, "c")]))
+                await wait_for(lambda: 1 not in a.links)
+                await y.read_until(1)
+                assert y.seen == [OpId(1, 1)]
+                y.writer.write(y.frames_of([("Ins", 0, "d")]))  # concurrent with "ab"
+                await wait_for(lambda: len(a.state.history) == 2)
+                assert a.state.current == "abd"
+                assert a.exit_code == 0 and 2 in a.links
+                x.writer.close()
+                y.writer.close()
+            finally:
+                await a._shutdown()
+
+        with caplog.at_level(logging.WARNING, logger="ccr.agent"):
+            asyncio.run(flow())
+        assert any("dropping site 1" in r.getMessage() for r in caplog.records)
 
     def test_overlong_partial_line_drops_link(self, monkeypatch):
         monkeypatch.setattr(agent_mod, "FRAME_LIMIT", 4096)

@@ -7,13 +7,14 @@ import pytest
 
 import ccr.protocol
 from ccr import OpId, replica_type
-from ccr.core import ApplyError, IntentError
+from ccr.core import ApplyError, IntentError, TransformResult
 from ccr.protocol import (
     HOLD_LIMIT,
     Full,
     Hello,
     HistoryView,
     Increment,
+    PeerCursor,
     ProtocolError,
     ResyncReq,
     SiteFaulted,
@@ -24,12 +25,13 @@ from ccr.protocol import (
 )
 from ccr.replicas.text import TextState
 from ccr.sim import random_update
-from support import count_applies
+from support import VerifiedSite, count_applies
 
 
 def mesh(kind, n, verify=False):
     rt = replica_type(kind)
-    sites = {i: SiteState(i, rt, verify=verify) for i in range(n)}
+    site = VerifiedSite if verify else SiteState
+    sites = {i: site(i, rt) for i in range(n)}
     for i in sites:
         for j in sites:
             if i != j:
@@ -476,31 +478,35 @@ class TestIncarnation:
         a.handle_message(1, self.hello(1, 1, kind=kind))
         for _ in range(3):
             drain(sites, edit(a) + edit(b))
-        assert len(a.peers[1].recv_ops) == a.peers[1].recv_len > 0
+        assert len(a.recv_ops[1]) == a.peers[1].recv_len > 0
         assert edit(b)  # lost with b
-        b2 = SiteState(1, b.rt, verify=True)
+        b2 = VerifiedSite(1, b.rt)
         b2.next_seq = 2**40  # a fresh base, as the agent draws one
         sites[1] = b2
         # b2 dials a: Hellos both ways, then its request.
         a.handle_message(1, self.hello(1, 2, kind=kind))
         b2.handle_message(0, self.hello(0, 5, a.peers[1].recv_len, kind))
-        assert a.peers[1].recv_ops == [] and a.peers[1].recv_len == 0
+        assert a.recv_ops[1] == [] and a.peers[1].recv_len == 0
         pending = outbox(1, b2.request_resync(0))
         pending.extend(edit(a))
         drain(sites, pending)
         drain(sites, edit(b2) + edit(a))
         assert a.digest() == b2.digest()
-        assert a.peers[1].recv_ops == list(b2.history)
+        assert a.recv_ops[1] == list(b2.history)
         assert quiescent(sites, 0)
         for s in sites.values():
             s.check_invariants()
 
-    def test_unverified_cursor_keeps_no_ops(self):
+    def test_cursor_has_no_slot_for_the_peers_ops(self):
+        # Of the peer's stream a cursor keeps only its length; the ops
+        # themselves are the reference check's, kept by VerifiedSite.
         sites = mesh("counter", 2)
         for n in range(20):
             drain(sites, outbox(n % 2, sites[n % 2].local_update(("incr", n + 1))))
         assert all(s.peers[1 - i].recv_len == 20 for i, s in sites.items())
-        assert all(not cur.recv_ops for s in sites.values() for cur in s.peers.values())
+        assert PeerCursor.__slots__ == ("sent_len", "recv_len", "incarnation",
+                                        "remainder", "held", "resync_pending")
+        assert not hasattr(sites[0].peers[1], "__dict__")
 
 
 class TestCommitCheck:
@@ -859,7 +865,7 @@ class TestDeferredEcho:
                                          ("text", 3)])
 @pytest.mark.parametrize("seed", range(6))
 def test_verified_cache_under_shuffled_delivery(kind, nsites, seed):
-    """verify=True cross-checks the per-peer incremental transform cache
+    """VerifiedSite cross-checks the per-peer incremental transform cache
     against the from-scratch computation at every single receipt."""
     rng = random.Random(f"{kind}-{seed}")
     sites = mesh(kind, nsites, verify=True)
@@ -878,6 +884,23 @@ def test_verified_cache_under_shuffled_delivery(kind, nsites, seed):
     assert quiescent(sites, 0)
     for s in sites.values():
         s.check_invariants()
+
+
+def test_verified_site_fires_when_the_cache_goes_wrong(monkeypatch):
+    """The reference check reads the route it checks: a remainder cache
+    that loses an op is caught at the receipt that keeps it."""
+    real = ccr.protocol.transform_patch
+
+    def skewed(rt, state, p, q):
+        left, right = real(rt, state, p, q)
+        return TransformResult(left, right[1:])
+
+    monkeypatch.setattr(ccr.protocol, "transform_patch", skewed)
+    sites = mesh("counter", 2, verify=True)
+    pending = outbox(0, sites[0].local_update(("incr", 1)))
+    pending += outbox(1, sites[1].local_update(("incr", 2)))
+    with pytest.raises(AssertionError, match="incremental/direct mismatch"):
+        drain(sites, pending)
 
 
 @pytest.mark.parametrize("kind", ["lww", "socialmedia"])
@@ -947,7 +970,7 @@ def test_restarted_site_converges_on_reordering_links(kind):
     outlived = 0
     for seed in range(100):
         rng = random.Random(f"restart-{kind}-{seed}")
-        sites = {i: SiteState(i, rt, verify=True) for i in range(3)}
+        sites = {i: VerifiedSite(i, rt) for i in range(3)}
         incarnation = {i: rng.getrandbits(64) for i in sites}
         pending = []
 
@@ -974,7 +997,7 @@ def test_restarted_site_converges_on_reordering_links(kind):
         for step in range(10):
             if step == restart_at:
                 pending = [p for p in pending if restarted not in p[:2]]
-                sites[restarted] = SiteState(restarted, rt, verify=True)
+                sites[restarted] = VerifiedSite(restarted, rt)
                 incarnation[restarted] = rng.getrandbits(64)
                 sites[restarted].next_seq = incarnation[restarted] >> 1
                 survivors = {op.uid for s in sites.values() for op in s.history

@@ -13,7 +13,7 @@ from ccr.sim import (
     run_trial,
     topology_edges,
 )
-from support import count_calls, use_positional_text
+from support import count_calls, use_positional_text, verify_trials
 
 CLEAN_KINDS = ["counter", "addmult", "lww", "eset", "queue", "socialmedia"]
 
@@ -228,21 +228,26 @@ def test_nonterminating_budget():
 
 
 @pytest.mark.parametrize("kind", CLEAN_KINDS + ["text"])
-def test_verified_ring_converges(kind):
-    # verify=True re-runs the full transform at every receipt and asserts it
-    # matches the incremental one.
-    for seed in range(3):
-        cfg = SimConfig(kind=kind, sites=4, ops_per_site=8, seed=seed, topology="ring",
-                        reorder=True, duplicate=True, verify=True)
+def test_verified_ring_converges(kind, monkeypatch):
+    # Every site re-runs the full transform at every receipt and asserts it
+    # matches the incremental one.  The check only observes: each trial
+    # reports exactly what it reports without it.
+    cfgs = [SimConfig(kind=kind, sites=4, ops_per_site=8, seed=seed, topology="ring",
+                      reorder=True, duplicate=True) for seed in range(3)]
+    plain = [run_trial(cfg) for cfg in cfgs]
+    verify_trials(monkeypatch)
+    for cfg, unchecked in zip(cfgs, plain):
         r = run_trial(cfg)
         assert r.converged, r.summary()
+        assert r == unchecked
 
 
 @pytest.mark.parametrize("kind", CLEAN_KINDS + ["text"])
-def test_verified_full_mesh_converges_under_faults(kind):
+def test_verified_full_mesh_converges_under_faults(kind, monkeypatch):
+    verify_trials(monkeypatch)
     for seed in range(2):
         cfg = SimConfig(kind=kind, sites=5, ops_per_site=6, seed=seed, topology="full",
-                        reorder=True, duplicate=True, verify=True)
+                        reorder=True, duplicate=True)
         r = run_trial(cfg)
         assert r.converged, r.summary()
 

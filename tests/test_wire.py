@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+import ccr.sim
 from ccr.core import OpId, WireError
 from ccr.protocol import Full, Hello, Increment, ResyncReq, SiteState
 from ccr.replicas import replica_type
-from ccr.sim import random_update
+from ccr.sim import SimConfig, random_update, run_trial
 from ccr.wire import decode_message, decode_op, encode_message, encode_op
 
 TEXT = replica_type("text")
@@ -130,7 +131,8 @@ class TestRoundTrips:
 
     def test_every_kind_ops(self):
         cases = {
-            "counter": [("Incr", 3), ("Decr", 1)],
+            # A negative amount is legal: the REPL's "incr -5" makes one.
+            "counter": [("Incr", 3), ("Decr", 1), ("Incr", -5), ("Decr", 2**64 - 1)],
             "addmult": [("Add", -6), ("Mult", 0)],
             "eset": [("Add", "k"), ("Rem", "k")],
             "lww": [("WriteExcept", "v", frozenset({OpId(2, 9)}))],
@@ -161,6 +163,29 @@ class TestRoundTrips:
         assert len(s.history) > 20
         self.round(rt, Increment(rt.name, 0, 0, s.history[:]))
         self.round(rt, Full(0, s.history))
+
+    @pytest.mark.parametrize("kind", ["counter", "addmult", "lww", "eset", "queue", "text",
+                                      "socialmedia", "map<text>", "tuple<queue,eset>"])
+    def test_trial_histories(self, kind, monkeypatch):
+        # Every op a site integrates, transformed ones included, is one the
+        # codec accepts as it is: the checks on decoding refuse only ops
+        # that no site makes.
+        sites = []
+
+        def site(i, rt):
+            sites.append(SiteState(i, rt))
+            return sites[-1]
+
+        monkeypatch.setattr(ccr.sim, "SiteState", site)
+        for seed in range(3):
+            cfg = SimConfig(kind=kind, sites=4, seed=seed, topology="ring",
+                            reorder=True, duplicate=True)
+            assert run_trial(cfg).converged
+        rt = sites[0].rt
+        ops = [op for s in sites for op in s.history]
+        assert len(ops) > 3 * 4 * 20
+        for op in ops:
+            assert decode_op(rt, json.loads(op_bytes(rt, op))) == op
 
 
 def _loads_decoder(rt, line):
@@ -233,6 +258,11 @@ class TestRejects:
         with pytest.raises(WireError):
             decode_message(rt, line)
 
+    def bad_op(self, kind, body):
+        rt = replica_type(kind)
+        self.bad('{"v":1,"kind":"%s","sender":0,"prefix_len":0,'
+                 '"ops":[{"uid":{"site":0,"seq":1},%s}]}' % (rt.name, body), rt)
+
     def test_not_json(self):
         self.bad(b"pffft")
 
@@ -279,9 +309,24 @@ class TestRejects:
     ], ids=["counter-n", "addmult-n", "text-ins-k", "text-del-k", "text-del-n",
             "queue-k", "tuple-i"])
     def test_bool_is_not_int_in_op(self, kind, body):
-        rt = replica_type(kind)
-        self.bad('{"v":1,"kind":"%s","sender":0,"prefix_len":0,'
-                 '"ops":[{"uid":{"site":0,"seq":1},%s}]}' % (rt.name, body), rt)
+        self.bad_op(kind, body)
+
+    @pytest.mark.parametrize("kind,body", [
+        ("counter", '"type":"Incr","n":0'),
+        ("counter", '"type":"Decr","n":18446744073709551616'),
+        ("counter", '"type":"Incr","n":-18446744073709551616'),
+        ("text", '"type":"Ins","k":-1,"s":"a"'),
+        ("text", '"type":"Ins","k":0,"s":""'),
+        ("text", '"type":"Del","k":-1,"n":1'),
+        ("text", '"type":"Del","k":0,"n":0'),
+        ("queue", '"type":"EnqAt","k":-3,"x":"job"'),
+        ("map<text>", '"type":"Upd","key":"a","patch":[{"type":"Del","k":2,"n":-1}]'),
+    ], ids=["counter-zero", "counter-over", "counter-under", "text-ins-k", "text-ins-empty",
+            "text-del-k", "text-del-n", "queue-k", "map-inner"])
+    def test_op_no_site_makes(self, kind, body):
+        # No site makes any of these ops, so the codec refuses them: a peer
+        # that sends one loses its link, and the receiver stays up.
+        self.bad_op(kind, body)
 
     def test_bad_uid(self):
         self.bad(b'{"v":1,"kind":"counter","sender":0,"prefix_len":0,'
