@@ -249,8 +249,10 @@ class Agent:
         """Decode complete frames up to the first bad one, integrate them as
         one batch, flush the echo the batch deferred, ask for a resync if a
         gap is left open, then send the replies.  A bad frame still lets the
-        replies of the frames before it go out, echo included, before it
-        drops the link; a fault sends nothing."""
+        increments of the frames before it go out to every live link, echo
+        included, before it drops the link; a ``Full`` or ``ResyncReq`` they
+        owed that link is not sent, and a redial asks again.  A fault sends
+        nothing."""
         msgs: List[Message] = []
         bad: Optional[CcrError] = None
         try:
@@ -265,7 +267,7 @@ class Agent:
             out += self.state.flush(peer)
             out += self.state.link_drained(peer)
         except ProtocolError as e:
-            out, bad = e.replies + self.state.flush(peer), e
+            out, bad = [m for site in self.links for m in self.state.flush(site)], e
         await self._send(out)
         if bad is not None:
             raise bad
@@ -342,7 +344,7 @@ class Agent:
                     return False
                 self.exit_code = 3
                 return True
-            _, out, msgs = repl_eval(self.state, cmd)
+            out, msgs = repl_eval(self.state, cmd)
             if out:
                 print(out, flush=True)
             await self._send(msgs)

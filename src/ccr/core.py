@@ -35,7 +35,7 @@ Nothing here knows about concrete kinds.  Callers pass a replica type object
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple, Tuple
+from typing import Any, Iterable, List, NamedTuple, Sequence, Tuple
 
 
 class CcrError(Exception):
@@ -193,7 +193,8 @@ def transform_patch(rt, state: Any, p: Patch, q: Patch) -> TransformResult:
     positionally: criterion 5 calls ``transform_patch(rt, d, p, q)``, and the
     benchmark's tracer reads the patches as the third and fourth arguments.
     """
-    return _sweep(rt, tuple(p), tuple(q))
+    left, right = _sweep(rt, p, q)
+    return TransformResult(tuple(left), tuple(right))
 
 
 def confluent_rep(rt, state: Any, p: Patch, q: Patch) -> Patch:
@@ -204,36 +205,29 @@ def confluent_rep(rt, state: Any, p: Patch, q: Patch) -> Patch:
     return compose(tuple(p), q_after_p)
 
 
-def _sweep(rt, p: Patch, q: Patch) -> TransformResult:
-    # Sweep each op of p across the whole of q, carrying q past it.
+def _sweep(rt, p: Sequence[Operation], q: Sequence[Operation]) -> Tuple[Sequence, Sequence]:
+    # Sweep each op of p across the whole of q, carrying q past it.  An op
+    # that splits sweeps its fragments across each later op of q.
     if not p or not q:
-        return TransformResult(p, q)
-    p_out: list[Operation] = []
+        return p, q
+    p_out: List[Operation] = []
     for a in p:
-        a_out, q = _one_vs_patch(rt, a, q)
-        p_out.extend(a_out)
-    return TransformResult(tuple(p_out), q)
-
-
-def _one_vs_patch(rt, a: Operation, q: Patch) -> Tuple[Patch, Patch]:
-    # Sweep single op a across q.
-    a_cur: Patch = (a,)
-    q_out: list[Operation] = []
-    for i, b in enumerate(q):
-        if not a_cur:
-            # a vanished; the rest of q is untouched by it.
-            q_out.extend(q[i:])
-            return EMPTY, tuple(q_out)
-        if len(a_cur) == 1:
-            x = a_cur[0]
-            if x.uid == b.uid:
+        a_cur: Sequence[Operation] = (a,)
+        q_out: List[Operation] = []
+        for i, b in enumerate(q):
+            if not a_cur:
+                # a vanished; the rest of q is untouched by it.
+                q_out += q[i:]
+                break
+            if len(a_cur) > 1:
+                # a split into fragments: sweep b across them.
+                a_cur, b_out = _sweep(rt, a_cur, (b,))
+            elif a_cur[0].uid == b.uid:
                 # Same logical edit arriving from both sides: both drop.
-                a_cur = EMPTY
+                a_cur = b_out = EMPTY
             else:
-                a_cur, b_out = rt.transform_prim(x, b)
-                q_out.extend(b_out)
-        else:
-            # a split into fragments: sweep b across them.
-            a_cur, b_out = _sweep(rt, a_cur, (b,))
-            q_out.extend(b_out)
-    return a_cur, tuple(q_out)
+                a_cur, b_out = rt.transform_prim(a_cur[0], b)
+            q_out += b_out
+        p_out += a_cur
+        q = q_out
+    return p_out, q

@@ -40,7 +40,9 @@ one tick): it merges each such run and integrates it with one
 ``handle_message``.  Each entry point (``local_update``, ``handle_message``,
 ``handle_batch``) builds its increments once, at its end, and only if the
 history grew; since ``make_increment`` sends the whole unsent suffix, a call
-sends each peer one increment at most.
+sends each peer one increment at most.  A ``ProtocolError`` ends a call
+before its increments are built: what the earlier messages committed stays,
+unsent, and ``flush`` sends each peer its share.
 
 The rebroadcast to the sender, the echo, brings it nothing new: it holds
 those ops already, and they cancel by uid on arrival.  It is sent only
@@ -106,10 +108,8 @@ HOLD_LIMIT = 64
 class ProtocolError(CcrError):
     """A peer broke the protocol (message before Hello, kind mismatch,
     site collision).  Scoped to one connection.  Raised from
-    ``handle_batch``, it carries in ``replies`` what the batch's messages
-    before the offending one had to send, one increment per peer at most."""
-
-    replies: Sequence[Tuple[int, Message]] = ()
+    ``handle_batch``, it leaves committed what the batch's messages before
+    the offending one brought; ``flush`` gives each peer its increment."""
 
 
 class SiteFaulted(CcrError):
@@ -305,17 +305,14 @@ class SiteState:
         continue each other as one; returns the replies, one increment per
         peer at most.  The echo to ``from_site`` is not among them: it stays
         unsent until ``flush`` or a later increment to that peer.  A
-        ``ProtocolError`` keeps what the messages before it committed and
-        carries their replies."""
+        ``ProtocolError`` keeps what the messages before it committed but
+        sends nothing: ``flush`` gives each peer its increment."""
         n = len(self._log)
         out: List[Tuple[int, Message]] = []
         self._deferring = from_site
         try:
             for msg in _runs(msgs):
                 out += self.handle_message(from_site, msg)
-        except ProtocolError as e:
-            e.replies = out + self._broadcast(n, from_site)
-            raise
         finally:
             self._deferring = None
         return out + self._broadcast(n, from_site)
@@ -440,7 +437,7 @@ class SiteState:
                 for peer, other in self.peers.items():
                     if peer != from_site:
                         other.remainder.extend(fresh)
-        except (ProtocolError, SiteFaulted):
+        except SiteFaulted:
             raise
         except CcrError as e:
             self.faulted = str(e)

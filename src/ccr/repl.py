@@ -61,7 +61,10 @@ def parse_line(rt: ReplicaType, line: str) -> ReplCommand:
         if verb == "sync":
             if len(args) > 1:
                 raise ReplError(f"sync takes at most 1 argument, got {len(args)}")
-            return ReplCommand("sync", (int_arg(args[0], "sync timeout") if args else None,))
+            timeout = int_arg(args[0], "sync timeout") if args else None
+            if timeout is not None and timeout < 0:
+                raise ReplError(f"sync timeout must not be negative, got {timeout}")
+            return ReplCommand("sync", (timeout,))
         intent = rt.parse_intent(verb, args)
     except (IntentError, ValueError) as e:  # ValueError: a bad address
         raise ReplError(str(e)) from None
@@ -70,40 +73,40 @@ def parse_line(rt: ReplicaType, line: str) -> ReplCommand:
     return ReplCommand("update", intent=intent)
 
 
-def repl_eval(state: SiteState, cmd: ReplCommand) -> Tuple[SiteState, str, List[Tuple[int, Message]]]:
-    """Evaluate one parsed command against a site; returns (state, output,
+def repl_eval(state: SiteState, cmd: ReplCommand) -> Tuple[str, List[Tuple[int, Message]]]:
+    """Evaluate one parsed command against a site; returns (output,
     messages).
 
     Control verbs that need a live transport come back with a hint instead
     of acting; the agent intercepts them before calling here.
     """
     if cmd.verb == "noop":
-        return state, "", []
+        return "", []
     if cmd.verb == "show":
-        return state, state.rt.digest(state.current), []
+        return state.rt.digest(state.current), []
     if cmd.verb == "history":
         if not state.history:
-            return state, "(empty)", []
-        return state, "\n".join(repr(op) for op in state.history), []
+            return "(empty)", []
+        return "\n".join(repr(op) for op in state.history), []
     if cmd.verb == "stats":
-        return state, json.dumps(vars(state.stats), separators=(",", ":")), []
+        return json.dumps(vars(state.stats), separators=(",", ":")), []
     if cmd.verb == "peers":
         if not state.peers:
-            return state, "(none)", []
+            return "(none)", []
         lines = [
             f"site {peer}: sent {cur.sent_len}/{len(state.history)}, received {cur.recv_len}"
             for peer, cur in sorted(state.peers.items())
         ]
-        return state, "\n".join(lines), []
+        return "\n".join(lines), []
     if cmd.verb == "update":
         before = len(state.history)
         try:
             msgs = state.local_update(cmd.intent)
         except IntentError as e:
-            return state, str(e), []
+            return str(e), []
         if len(state.history) == before:
-            return state, "no effect", []
-        return state, "", msgs
+            return "no effect", []
+        return "", msgs
     if cmd.verb == "quit":
-        return state, "bye", []
-    return state, f"{cmd.verb}: requires a running agent", []
+        return "bye", []
+    return f"{cmd.verb}: requires a running agent", []

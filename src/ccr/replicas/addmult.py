@@ -61,7 +61,8 @@ class AddMultType(ReplicaType):
         return {"type": body[0], "n": body[1]}
 
     def decode_body(self, obj):
-        tag = obj.get("type")
-        if tag not in ("Add", "Mult") or not is_int(obj.get("n")):
+        tag, n = obj.get("type"), obj.get("n")
+        # No site makes Mult 1, nor does a transform; Add 0 and Mult 0 occur.
+        if tag not in ("Add", "Mult") or not is_int(n) or (tag == "Mult" and n == 1):
             raise WireError(f"bad addmult op: {obj!r}")
-        return (tag, obj["n"])
+        return (tag, n)

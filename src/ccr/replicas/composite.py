@@ -209,6 +209,6 @@ class MapType(ReplicaType):
         if obj.get("type") != "Upd" or not isinstance(obj.get("key"), str):
             raise WireError(f"bad map op: {obj!r}")
         patch = obj.get("patch")
-        if not isinstance(patch, list) or not all(isinstance(x, dict) for x in patch):
+        if not isinstance(patch, list) or not patch or not all(isinstance(x, dict) for x in patch):
             raise WireError(f"bad map op patch: {obj!r}")
         return ("Upd", obj["key"], tuple(self.component.decode_body(x) for x in patch))

@@ -1,6 +1,6 @@
-"""Shared test fixtures: how to start an agent, a site that checks every
-receipt against the direct transform, and text kinds with known transform
-defects for checking that the harnesses catch them."""
+"""Shared test fixtures: how to start an agent, a reference sweep, a site
+that checks every receipt against the direct transform, and text kinds with
+known transform defects for checking that the harnesses catch them."""
 
 import os
 import shutil
@@ -8,7 +8,7 @@ import sys
 
 import ccr
 import ccr.sim
-from ccr.core import ApplyError, transform_patch
+from ccr.core import EMPTY, ApplyError, TransformResult, transform_patch
 from ccr.protocol import SiteState
 from ccr.replicas.base import ReplicaType
 from ccr.replicas.text import TextType
@@ -46,6 +46,47 @@ def count_applies(monkeypatch):
     """Count every call to ``apply`` on the replica classes, composites and
     their components included; returns a one-item list holding the count."""
     return count_calls(monkeypatch, ReplicaType, "apply")
+
+
+def reference_transform(rt, p, q):
+    """What ``transform_patch(rt, None, p, q)`` must return, computed by
+    the sweep as two mutually recursive loops, one op of p at a time."""
+    return _ref_sweep(rt, tuple(p), tuple(q))
+
+
+def _ref_sweep(rt, p, q):
+    # Sweep each op of p across the whole of q, carrying q past it.
+    if not p or not q:
+        return TransformResult(p, q)
+    p_out = []
+    for a in p:
+        a_out, q = _ref_one_vs_patch(rt, a, q)
+        p_out.extend(a_out)
+    return TransformResult(tuple(p_out), q)
+
+
+def _ref_one_vs_patch(rt, a, q):
+    # Sweep single op a across q.
+    a_cur = (a,)
+    q_out = []
+    for i, b in enumerate(q):
+        if not a_cur:
+            # a vanished; the rest of q is untouched by it.
+            q_out.extend(q[i:])
+            return EMPTY, tuple(q_out)
+        if len(a_cur) == 1:
+            x = a_cur[0]
+            if x.uid == b.uid:
+                # Same logical edit arriving from both sides: both drop.
+                a_cur = EMPTY
+            else:
+                a_cur, b_out = rt.transform_prim(x, b)
+                q_out.extend(b_out)
+        else:
+            # a split into fragments: sweep b across them.
+            a_cur, b_out = _ref_sweep(rt, a_cur, (b,))
+            q_out.extend(b_out)
+    return a_cur, tuple(q_out)
 
 
 class VerifiedSite(SiteState):

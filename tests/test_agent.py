@@ -574,6 +574,9 @@ class TestBatchedFrames:
                 x.writer.write(x.frames_of([("Incr", 1)]) + other)
                 await x.read_until(1)
                 assert x.seen == [OpId(1, 1)]
+                # The op committed before the bad frame reaches the other link.
+                await y.read_until(1)
+                assert y.seen == [OpId(1, 1)]
                 await wait_for(lambda: 1 not in a.links)
                 assert a.state.digest() == "1"
                 assert a.exit_code == 0 and 2 in a.links

@@ -16,7 +16,8 @@ from ccr import (
 )
 from ccr.props import random_ops
 from ccr.replicas import replica_type
-from support import count_applies
+from ccr.replicas.text import TextType
+from support import count_applies, reference_transform
 
 C = replica_type("counter")
 T = replica_type("text")
@@ -158,6 +159,49 @@ class TestStateFreeSweep:
             transform_patch(rt, base, p, q)
             confluent_rep(rt, base, p, q)
         assert calls[0] == 0
+
+
+class TestSweepOracle:
+    """The one-loop sweep returns what the reference sweep does, fragment
+    for fragment, on random concurrent patches of every kind."""
+
+    @staticmethod
+    def cases(rt, rng, n):
+        # p and q both start from base; both may begin with some of the ops
+        # of a third site, which then meet their uid twins in the sweep.
+        for _ in range(n):
+            _, base = random_ops(rt, rng, rt.initial(), 9, rng.randint(0, 4))
+            shared, after = random_ops(rt, rng, base, 5, rng.randint(0, 3))
+            k = rng.randint(0, len(shared))
+            p, _ = random_ops(rt, rng, after, 0, rng.randint(0, 4))
+            q, _ = random_ops(rt, rng, apply_patch(rt, base, shared[:k]), 1, rng.randint(0, 4))
+            p, q = shared + p, shared[:k] + q
+            yield (p, q) if rng.random() < 0.5 else (q, p)
+
+    @pytest.mark.parametrize("kind", ["counter", "addmult", "lww", "eset", "queue", "text",
+                                      "socialmedia", "tuple<counter,text>", "map<text>"])
+    def test_matches_the_reference(self, kind, monkeypatch):
+        rt = replica_type(kind)
+        rng = random.Random(f"sweep-oracle-{kind}")
+        splits = [0]  # text op pairs that split an op in two or more
+        real = TextType.transform_prim
+
+        def counting(self, a, b):
+            out = real(self, a, b)
+            splits[0] += any(len(side) > 1 for side in out)
+            return out
+
+        monkeypatch.setattr(TextType, "transform_prim", counting)
+        twins = 0
+        for p, q in self.cases(rt, rng, 400):
+            got = transform_patch(rt, None, p, q)
+            want = reference_transform(rt, p, q)
+            assert type(got.left) is type(got.right) is tuple
+            assert got.left == want.left and got.right == want.right, (p, q)
+            twins += bool({op.uid for op in p} & {op.uid for op in q})
+        assert twins > 50
+        if "text" in kind:
+            assert splits[0] > 5
 
 
 class TestConfluentRep:

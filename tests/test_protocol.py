@@ -800,11 +800,13 @@ class TestHandleBatch:
         _, incs = self.sender(3)
         other = incs[2]._replace(kind="text")
         b, ref = self.receiver(), self.receiver()
-        with pytest.raises(ProtocolError, match="kind mismatch") as err:
+        with pytest.raises(ProtocolError, match="kind mismatch"):
             b.handle_batch(0, [incs[0], incs[1], other, incs[2]])
         run = Increment(kind="counter", sender=0, prefix_len=0, ops=incs[0].ops + incs[1].ops)
-        assert [peer for peer, _ in err.value.replies] == [2]
-        replies = err.value.replies + b.flush(0)
+        # The error sends nothing; flushing each peer sends the run and its echo.
+        [(peer, relay)] = b.flush(2)
+        assert peer == 2
+        replies = [(peer, relay)] + b.flush(0)
         assert self.by_peer(replies) == self.by_peer(ref.handle_message(0, run))
         assert b.history == ref.history and b.current == 3
         assert b.peers[0].recv_len == 2

@@ -12,8 +12,7 @@ COUNTER = replica_type("counter")
 
 
 def evl(state, line):
-    _, out, msgs = repl_eval(state, parse_line(state.rt, line))
-    return out, msgs
+    return repl_eval(state, parse_line(state.rt, line))
 
 
 class TestParseControl:
@@ -31,6 +30,7 @@ class TestParseControl:
     def test_sync_forms(self):
         assert parse_line(COUNTER, "sync").args == (None,)
         assert parse_line(COUNTER, "sync 30").args == (30,)
+        assert parse_line(COUNTER, "sync 0").args == (0,)
 
     def test_blank_and_comment(self):
         assert parse_line(COUNTER, "").verb == "noop"
@@ -41,6 +41,7 @@ class TestParseControl:
         "connect a:b:notaport",
         "show me",
         "sync 1 2",
+        "sync -1",
         "quit now",
     ])
     def test_rejects(self, line):

@@ -148,6 +148,24 @@ class TestRoundTrips:
             ops = tuple(rt.op(OpId(0, i + 1), *b) for i, b in enumerate(bodies))
             self.round(rt, Increment(kind=rt.name, sender=0, prefix_len=0, ops=ops))
 
+    def test_add_zero_is_relayed(self):
+        # Site 1's Add 3, swept past site 0's concurrent Mult 0, is Add 0 in
+        # site 0's history; the codec carries it on to a third site.
+        rt = replica_type("addmult")
+        a, b, c = (SiteState(i, rt) for i in range(3))
+        a.connect_peer(1)
+        b.connect_peer(0)
+        a.local_update(("mult", 0))
+        [(_, inc)] = b.local_update(("add", 3))
+        a.handle_message(1, decode_message(rt, encode_message(rt, inc)))
+        assert a.history == (rt.op(OpId(0, 1), "Mult", 0), rt.op(OpId(1, 1), "Add", 0))
+        a.connect_peer(2)
+        c.connect_peer(0)
+        relay = decode_message(rt, encode_message(rt, a.make_increment(2)))
+        assert relay.ops == a.history
+        c.handle_message(0, relay)
+        assert c.history == a.history and c.current == a.current == 0
+
     def test_decode_accepts_str_and_bytes(self):
         raw = encode_message(COUNTER, ResyncReq())
         assert decode_message(COUNTER, raw) == decode_message(COUNTER, raw.decode())
@@ -321,8 +339,11 @@ class TestRejects:
         ("text", '"type":"Del","k":0,"n":0'),
         ("queue", '"type":"EnqAt","k":-3,"x":"job"'),
         ("map<text>", '"type":"Upd","key":"a","patch":[{"type":"Del","k":2,"n":-1}]'),
+        ("addmult", '"type":"Mult","n":1'),
+        ("socialmedia", '"type":"Upd","key":"p1","patch":[]'),
     ], ids=["counter-zero", "counter-over", "counter-under", "text-ins-k", "text-ins-empty",
-            "text-del-k", "text-del-n", "queue-k", "map-inner"])
+            "text-del-k", "text-del-n", "queue-k", "map-inner", "addmult-mult-one",
+            "map-empty-patch"])
     def test_op_no_site_makes(self, kind, body):
         # No site makes any of these ops, so the codec refuses them: a peer
         # that sends one loses its link, and the receiver stays up.
