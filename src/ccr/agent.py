@@ -8,6 +8,10 @@ survivor's history immediately, and then with what the peer lacks of its
 own.  A process numbers its own ops from a random base drawn with its
 incarnation, so a restarted process does not reuse the uid of an op its
 old incarnation made: it may edit at once, before or without any catch-up.
+Both ends read the peer's Hello with ``_read_hello``, which closes the
+connection if that fails, and register the link with the task that reads
+it under the site the Hello names; however a link ends, ``_close`` cancels
+that task, closes the writer and forgets the link.
 After the Hello a connection's frames are read in batches:
 one read takes whatever the socket holds, and every complete line in it is
 decoded and handed to the site as one batch (``SiteState.handle_batch``,
@@ -61,15 +65,11 @@ class AgentConfig(NamedTuple):
     script: Optional[str] = None
 
 
-class _Link:
+class _Link(NamedTuple):
     """One live connection to a peer and the task that reads it."""
-
-    __slots__ = ("writer", "addr", "task")
-
-    def __init__(self, writer: asyncio.StreamWriter, addr: Addr):
-        self.writer = writer
-        self.addr = addr
-        self.task: Optional[asyncio.Task] = None
+    writer: asyncio.StreamWriter
+    addr: Addr
+    task: asyncio.Task
 
 
 class Agent:
@@ -128,11 +128,8 @@ class Agent:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for link in list(self.links.values()):
-            if link.task is not None:
-                link.task.cancel()
-            link.writer.close()
-        self.links.clear()
+        for peer, link in list(self.links.items()):
+            self._close(peer, link)
 
     def _fatal(self, e: BaseException) -> None:
         print(f"fatal: {e}", file=sys.stderr)
@@ -146,73 +143,72 @@ class Agent:
         hello = Hello(site=self.state.site, kind=self.rt.name, known_len=0,
                       incarnation=self.incarnation)
         writer.write(encode_message(self.rt, hello))
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            writer.close()
-            raise ProtocolError("peer closed connection during handshake")
-        reply = decode_message(self.rt, line)
-        if not isinstance(reply, Hello):
-            writer.close()
-            raise ProtocolError(f"expected Hello, got {reply!r}")
-        try:
-            self.state.handle_message(reply.site, reply)
-        except CcrError:
-            writer.close()
-            raise
-        self._register(reply.site, reader, writer, addr)
+        peer = (await self._read_hello(reader, writer)).site
+        self._register(peer, reader, writer, addr)
         # The request first (a peer may insist on it right after the Hello),
         # then the backlog: nothing else sends it before the next local change.
-        out = self.state.request_resync(reply.site)
-        backlog = self.state.make_increment(reply.site)
-        if backlog is not None:
-            out.append((reply.site, backlog))
-        await self._send(out)
-        log.info("dialed site %d at %s:%d", reply.site, *addr)
-        return reply.site
+        await self._send(self.state.request_resync(peer) + self.state.flush(peer))
+        log.info("dialed site %d at %s:%d", peer, *addr)
+        return peer
 
     async def _accepted(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         peername = writer.get_extra_info("peername") or ("?", 0)
         try:
-            line = await reader.readline()
-            if not line:
-                writer.close()
-                return
-            msg = decode_message(self.rt, line)
-            if not isinstance(msg, Hello):
-                raise ProtocolError(f"expected Hello, got {msg!r}")
-            self.state.handle_message(msg.site, msg)
+            hello = await self._read_hello(reader, writer)
         except SiteFaulted as e:
             self._fatal(e)
-            writer.close()
             return
         except (WireError, ProtocolError) as e:
             # refuse the connection; this site keeps serving others
             log.warning("refused connection from %s: %s", peername, e)
-            writer.close()
             return
+        except ConnectionError:
+            return  # gone before its Hello, as a port probe is
         reply = Hello(site=self.state.site, kind=self.rt.name,
-                      known_len=self.state.peers[msg.site].recv_len,
+                      known_len=self.state.peers[hello.site].recv_len,
                       incarnation=self.incarnation)
         writer.write(encode_message(self.rt, reply))
         # Replace an old link before any await, so that none of its frames
         # is integrated after the Hello has reset the cursor.
-        self._register(msg.site, reader, writer, (peername[0], peername[1]))
-        await writer.drain()
-        log.info("accepted site %d from %s", msg.site, peername)
+        self._register(hello.site, reader, writer, (peername[0], peername[1]))
+        log.info("accepted site %d from %s", hello.site, peername)
+
+    async def _read_hello(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> Hello:
+        """Read a connection's first line, which must be the peer's Hello,
+        and hand it to the site.  On any failure the connection is closed;
+        a peer gone before its Hello is a ``ConnectionError``."""
+        try:
+            line = await reader.readline()
+            if not line:
+                raise ConnectionResetError("peer closed connection during handshake")
+            msg = decode_message(self.rt, line)
+            if not isinstance(msg, Hello):
+                raise ProtocolError(f"expected Hello, got {msg!r}")
+            self.state.handle_message(msg.site, msg)
+        except BaseException:
+            writer.close()
+            raise
+        return msg
 
     def _register(self, peer: int, reader: asyncio.StreamReader,
                   writer: asyncio.StreamWriter, addr: Addr) -> None:
-        old = self.links.pop(peer, None)
+        old = self.links.get(peer)
         if old is not None:
-            if old.task is not None:
-                old.task.cancel()
-            old.writer.close()
-        link = _Link(writer, addr)
-        link.task = asyncio.create_task(self._read_loop(peer, reader))
-        self.links[peer] = link
+            self._close(peer, old)
+        self.links[peer] = _Link(writer, addr, asyncio.create_task(self._read_loop(peer, reader)))
+
+    def _close(self, peer: int, link: _Link) -> None:
+        """The one way a link ends: stop its read task unless that is the
+        caller, close its writer, and forget it if it is still the peer's."""
+        if link.task is not asyncio.current_task():
+            link.task.cancel()
+        link.writer.close()
+        if self.links.get(peer) is link:
+            del self.links[peer]
 
     async def _read_loop(self, peer: int, reader: asyncio.StreamReader) -> None:
+        link = self.links[peer]  # _register stored it before this task runs
         loop = asyncio.get_running_loop()
         partial = bytearray()  # bytes of a line not yet complete
         try:
@@ -223,14 +219,15 @@ class Agent:
                 self._last_traffic = loop.time()
                 lines = chunk.split(b"\n")
                 partial += lines[0]
+                # The chunk's other lines fit in READ_CHUNK, below the limit.
+                if len(partial) > FRAME_LIMIT:
+                    raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes")
                 if len(lines) > 1:
                     lines[0] = bytes(partial)
                     partial = bytearray(lines.pop())
                     await self._handle_batch(peer, lines)
-                if len(partial) > FRAME_LIMIT:
-                    raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes")
         except asyncio.CancelledError:
-            return
+            return  # whoever cancelled has closed the link
         except SiteFaulted as e:
             self._fatal(e)
         except (WireError, ProtocolError) as e:
@@ -240,9 +237,7 @@ class Agent:
         except Exception:
             # Anything else ends this link only; the site keeps serving.
             log.exception("dropping site %d", peer)
-        link = self.links.pop(peer, None)
-        if link is not None:
-            link.writer.close()
+        self._close(peer, link)
         log.info("site %d disconnected", peer)
 
     async def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
@@ -257,10 +252,8 @@ class Agent:
         bad: Optional[CcrError] = None
         try:
             for frame in frames:
-                if len(frame) > FRAME_LIMIT:
-                    raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes")
                 msgs.append(decode_message(self.rt, frame))
-        except (WireError, ProtocolError) as e:
+        except WireError as e:
             bad = e
         try:
             out = self.state.handle_batch(peer, msgs)
@@ -290,8 +283,7 @@ class Agent:
             try:
                 await link.writer.drain()
             except ConnectionError:
-                if self.links.get(peer) is link:
-                    del self.links[peer]
+                self._close(peer, link)
 
     # -- command surface -------------------------------------------------------
 
@@ -358,10 +350,7 @@ class Agent:
     def _disconnect(self, addr: Addr) -> bool:
         for peer, link in list(self.links.items()):
             if link.addr == addr:
-                if link.task is not None:
-                    link.task.cancel()
-                link.writer.close()
-                self.links.pop(peer, None)
+                self._close(peer, link)
                 print(f"disconnected site {peer}", flush=True)
                 return False
         print(f"not connected to {addr[0]}:{addr[1]}", flush=True)
@@ -374,9 +363,7 @@ class Agent:
         while True:
             # only live links count: a departed peer's backlog is resync work
             # for later, not something this barrier can wait out
-            unsent = any(cur.sent_len < len(self.state.history)
-                         for peer, cur in self.state.peers.items()
-                         if peer in self.links)
+            unsent = any(map(self.state.deferred, self.links))
             quiet = loop.time() - self._last_traffic >= QUIET_WINDOW
             if not unsent and quiet:
                 return True

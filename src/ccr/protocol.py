@@ -106,10 +106,11 @@ HOLD_LIMIT = 64
 
 
 class ProtocolError(CcrError):
-    """A peer broke the protocol (message before Hello, kind mismatch,
-    site collision).  Scoped to one connection.  Raised from
-    ``handle_batch``, it leaves committed what the batch's messages before
-    the offending one brought; ``flush`` gives each peer its increment."""
+    """A peer broke the protocol (message before Hello, a Hello naming
+    another site than its link's, kind mismatch, site collision).  Scoped
+    to one connection.  Raised from ``handle_batch``, it leaves committed
+    what the batch's messages before the offending one brought; ``flush``
+    gives each peer its increment."""
 
 
 class SiteFaulted(CcrError):
@@ -332,7 +333,7 @@ class SiteState:
         per peer at most.  Inside ``handle_batch`` the batch sends those."""
         self._check_ok()
         if isinstance(msg, Hello):
-            return self._handle_hello(msg)
+            return self._handle_hello(from_site, msg)
         cur = self.peers.get(from_site)
         if cur is None:
             raise ProtocolError(f"message from site {from_site} before Hello")
@@ -406,7 +407,10 @@ class SiteState:
             held[start] = ops
         return []
 
-    def _handle_hello(self, msg: Hello) -> List[Tuple[int, Message]]:
+    def _handle_hello(self, from_site: int, msg: Hello) -> List[Tuple[int, Message]]:
+        # A Hello resets the cursor of the site it names: only its own link may.
+        if msg.site != from_site:
+            raise ProtocolError(f"Hello for site {msg.site} on the link of site {from_site}")
         if msg.site == self.site:
             raise ProtocolError(f"site id collision: peer also claims site {msg.site}")
         if msg.kind != self.rt.name:

@@ -7,6 +7,7 @@ import shutil
 import sys
 
 import ccr
+import ccr.replicas.composite as composite
 import ccr.sim
 from ccr.core import EMPTY, ApplyError, TransformResult, transform_patch
 from ccr.protocol import SiteState
@@ -50,8 +51,15 @@ def count_applies(monkeypatch):
 
 def reference_transform(rt, p, q):
     """What ``transform_patch(rt, None, p, q)`` must return, computed by
-    the sweep as two mutually recursive loops, one op of p at a time."""
-    return _ref_sweep(rt, tuple(p), tuple(q))
+    the sweep as two mutually recursive loops, one op of p at a time.  The
+    inner sweeps of a map's entries run the same loops, not the code under
+    test."""
+    real = composite.transform_patch
+    composite.transform_patch = lambda rt, state, p, q: _ref_sweep(rt, tuple(p), tuple(q))
+    try:
+        return _ref_sweep(rt, tuple(p), tuple(q))
+    finally:
+        composite.transform_patch = real
 
 
 def _ref_sweep(rt, p, q):

@@ -461,6 +461,75 @@ class TestInProcess:
         assert any("dropping site 1" in r.getMessage() for r in caplog.records)
 
 
+    @pytest.mark.parametrize("backlog", [0, 2])
+    def test_dialer_opening_frames(self, backlog):
+        """A dialer sends its Hello, its resync request, then its backlog as
+        one increment from position 0, and nothing more."""
+        async def flow():
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(free_port())))
+            assert await a.start() is None
+            for _ in range(backlog):
+                await a._exec("incr 1")
+            got = asyncio.Queue()
+
+            async def listener(reader, writer):
+                await got.put(decode_message(a.rt, await reader.readline()))
+                writer.write(encode_message(a.rt, Hello(1, "counter", 0)))
+                while line := await reader.readline():
+                    await got.put(decode_message(a.rt, line))
+
+            server = await asyncio.start_server(listener, "127.0.0.1", 0)
+            try:
+                await a._exec(f"connect 127.0.0.1:{server.sockets[0].getsockname()[1]}")
+                assert await got.get() == Hello(0, "counter", 0, a.incarnation)
+                assert type(await got.get()) is ResyncReq
+                if backlog:
+                    assert await got.get() == Increment("counter", 0, 0, tuple(a.state.history))
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(got.get(), 0.3)
+            finally:
+                await a._shutdown()
+                server.close()
+
+        asyncio.run(flow())
+
+    @pytest.mark.parametrize("reply", [b"not json\n", b'{"v":1,"resync":true}\n'],
+                             ids=["not-json", "not-hello"])
+    def test_failed_dial_closes_its_socket(self, reply, capsys, monkeypatch):
+        # The test holds the dialer's streams, so the collector cannot close
+        # the socket in the dialer's place.
+        opened = []
+        real = asyncio.open_connection
+
+        async def holding(*args, **kwargs):
+            opened.append(await real(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(asyncio, "open_connection", holding)
+
+        async def flow():
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(free_port())))
+            assert await a.start() is None
+            rest = asyncio.get_running_loop().create_future()
+
+            async def listener(reader, writer):
+                await reader.readline()  # the dialer's Hello
+                writer.write(reply)
+                rest.set_result(await reader.read())
+                writer.close()
+
+            server = await asyncio.start_server(listener, "127.0.0.1", 0)
+            try:
+                await a._exec(f"connect 127.0.0.1:{server.sockets[0].getsockname()[1]}")
+                assert "connect failed" in capsys.readouterr().out
+                assert await asyncio.wait_for(rest, 1.0) == b""  # the dialer closed
+                assert opened[0][1].is_closing() and not a.links
+            finally:
+                await a._shutdown()
+                server.close()
+
+        asyncio.run(flow())
+
     def test_dial_resync_is_counted_and_cleared(self, capsys):
         async def flow():
             pa = free_port()
@@ -588,6 +657,37 @@ class TestBatchedFrames:
         with caplog.at_level(logging.WARNING, logger="ccr.agent"):
             asyncio.run(flow())
         assert any("dropping site 1" in r.getMessage() and "kind mismatch" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_hello_for_another_site_drops_the_link(self, caplog):
+        # Peer x names site 2 in a second Hello: the agent drops x and
+        # keeps reading y's stream where it stood.
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                x = await RawPeer("counter", 1).connect(pa)
+                y = await RawPeer("counter", 2).connect(pa)
+                await wait_for(lambda: 2 in a.links)
+                y.writer.write(y.frames_of([("Incr", 1)] * 3))
+                await y.read_until(3)
+                x.writer.write(encode_message(x.rt, Hello(2, "counter", 0, 999)))
+                await wait_for(lambda: 1 not in a.links)
+                assert a.state.peers[2].recv_len == 3
+                y.writer.write(y.frames_of([("Incr", 1)], start=3))
+                await y.read_until(4)
+                assert y.seen == [OpId(2, i) for i in (1, 2, 3, 4)]
+                assert a.state.digest() == "4" and a.state.stats.resync_reqs == 0
+                assert a.exit_code == 0 and 2 in a.links
+                x.writer.close()
+                y.writer.close()
+            finally:
+                await a._shutdown()
+
+        with caplog.at_level(logging.WARNING, logger="ccr.agent"):
+            asyncio.run(flow())
+        assert any("dropping site 1" in r.getMessage() and "Hello for site 2" in r.getMessage()
                    for r in caplog.records)
 
     def test_split_frames_decode(self):

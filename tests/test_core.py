@@ -203,6 +203,20 @@ class TestSweepOracle:
         if "text" in kind:
             assert splits[0] > 5
 
+    def test_one_map_entry_matches_the_reference(self):
+        # Random map patches spread over three keys and seldom give an
+        # entry's sweep a split fragment to carry past a later op; text
+        # patches as the updates of one entry do.
+        rt, text = replica_type("map<text>"), replica_type("text")
+        rng = random.Random("sweep-oracle-one-entry")
+
+        def entry(ops):
+            return tuple(rt.op(op.uid, "Upd", "k", (op.body,)) for op in ops)
+
+        for p, q in self.cases(text, rng, 400):
+            p, q = entry(p), entry(q)
+            assert transform_patch(rt, None, p, q) == reference_transform(rt, p, q), (p, q)
+
 
 class TestConfluentRep:
     def test_idempotent(self):

@@ -572,6 +572,20 @@ class TestGuards:
         with pytest.raises(ProtocolError):
             a.handle_message(0, Hello(site=0, kind="counter", known_len=0))
 
+    def test_hello_for_another_site_is_refused(self):
+        # A Hello resets the cursor of the site it names: one sent on site
+        # 1's link must not make site 0 read site 2's stream from 0 again.
+        sites = mesh("counter", 3)
+        a = sites[0]
+        for n in (1, 2, 3):
+            drain(sites, outbox(2, sites[2].local_update(("incr", n))))
+        assert a.peers[2].recv_len == 3
+        with pytest.raises(ProtocolError, match="Hello for site 2"):
+            a.handle_message(1, Hello(site=2, kind="counter", known_len=0, incarnation=999))
+        assert a.peers[2].recv_len == 3
+        drain(sites, outbox(2, sites[2].local_update(("incr", 4))))
+        assert a.current == 10 and not a.peers[2].held and a.stats.resync_reqs == 0
+
     def test_message_before_hello(self):
         a = SiteState(0, replica_type("counter"))
         inc = Increment(kind="counter", sender=1, prefix_len=0, ops=())
