@@ -179,7 +179,10 @@ class Agent:
         and hand it to the site.  On any failure the connection is closed;
         a peer gone before its Hello is a ``ConnectionError``."""
         try:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # the line overran the stream's limit
+                raise ProtocolError(f"frame longer than {FRAME_LIMIT} bytes") from None
             if not line:
                 raise ConnectionResetError("peer closed connection during handshake")
             msg = decode_message(self.rt, line)
@@ -384,11 +387,7 @@ def run_agent(cfg: AgentConfig) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr,
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    try:
-        agent = Agent(cfg)
-    except IntentError as e:
-        print(f"bad replica kind: {e}", file=sys.stderr)
-        return 2
+    agent = Agent(cfg)
     try:
         return asyncio.run(agent.run())
     except KeyboardInterrupt:

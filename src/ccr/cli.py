@@ -30,7 +30,7 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
                     help="peer to dial at startup (repeatable)")
     ap.add_argument("--script", default=None, metavar="FILE",
                     help="run commands from FILE instead of stdin")
-    args = ap.parse_args(argv)
+    args = _parse(ap, argv)
     try:
         listen = parse_addr(args.listen)
         connect = tuple(parse_addr(a) for a in args.connect)

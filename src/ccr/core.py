@@ -28,9 +28,10 @@ When the sweep brings two operations with equal uid face to face, both are
 dropped.  This is what makes redelivery and echo loops terminate: a patch
 transformed against a history that already contains it comes out empty.
 
-Nothing here knows about concrete kinds.  Callers pass a replica type object
-``rt`` providing ``name``, ``apply(state, op)``, ``transform_prim(a, b)`` and
-``digest(state)``; see ``ccr.replicas``.
+Nothing here knows about concrete kinds: an operation is the pair
+``(uid, body)``, and only its replica type knows its kind.  Callers pass a
+replica type object ``rt`` providing ``apply(state, op)``,
+``transform_prim(a, b)`` and ``digest(state)``; see ``ccr.replicas``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def is_int(x: Any) -> bool:
     return type(x) is int
 
 
+def encode_uid(uid: OpId) -> dict:
+    """The wire object of a uid, the inverse of ``decode_uid``."""
+    return {"site": uid.site, "seq": uid.seq}
+
+
 def decode_uid(obj: Any) -> OpId:
     """The uid of a wire object ``{"site": int, "seq": int}``, both
     integers in the sense of ``is_int``."""
@@ -116,12 +122,12 @@ class Operation(NamedTuple):
 
     The uid identifies the logical edit: cancellation and duplicate checks
     compare uids only, since transformation may rewrite the body.  A tuple
-    of (uid, kind, body), immutable like every entry of a history, and
-    built, hashed and compared in C.
+    of (uid, body), immutable like every entry of a history, and built,
+    hashed and compared in C.  It carries no kind: the replica type that
+    applies it is the one that knows it.
     """
 
     uid: OpId
-    kind: str
     body: Tuple[Any, ...]
 
     def __repr__(self) -> str:
@@ -167,12 +173,6 @@ def compose(p: Patch, q: Patch) -> Patch:
 def apply_patch(rt, state: Any, p: Iterable[Operation]) -> Any:
     """Fold a patch over a state, left to right."""
     for op in p:
-        if op.kind != rt.name:
-            raise ApplyError(
-                f"operation kind {op.kind!r} does not match replica kind {rt.name!r}",
-                uid=op.uid,
-                digest=rt.digest(state),
-            )
         try:
             state = rt.apply(state, op)
         except ApplyError as e:

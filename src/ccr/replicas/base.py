@@ -95,7 +95,7 @@ class ReplicaType:
         raise NotImplementedError
 
     def op(self, uid: OpId, *body: Any) -> Operation:
-        return Operation(uid, self.name, tuple(body))
+        return Operation(uid, tuple(body))
 
     def __repr__(self) -> str:
         return f"<replica {self.name}>"

@@ -14,8 +14,8 @@ and wire encoding with its own vocabulary: ``write S``, ``comment S``,
 ``like`` and ``dislike``, and ``post KEY <action>`` in a map of posts.
 
 Inner operations are stored as bare bodies.  They are the same logical edit
-as their wrapper, so they share its uid; full inner Operations are
-synthesized on demand when recursing.
+as their wrapper, so they share its uid: recursing into a component pairs
+the wrapper's uid with each inner body as ``Operation(uid, body)``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class TupleType(ReplicaType):
     def initial(self):
         return tuple(c.initial() for c in self.components)
 
-    def _inner(self, uid, i, body) -> Operation:
-        return Operation(uid, self.components[i].name, body)
-
     def apply(self, state, op):
         tag, i, body = op.body
         if tag != "At":
@@ -57,7 +54,7 @@ class TupleType(ReplicaType):
         if not (0 <= i < len(self.components)):
             raise ApplyError(f"tuple index {i} out of range 0..{len(self.components) - 1}")
         comp = self.components[i]
-        slot = comp.apply(state[i], self._inner(op.uid, i, body))
+        slot = comp.apply(state[i], Operation(op.uid, body))
         return state[:i] + (slot,) + state[i + 1:]
 
     def transform_prim(self, a, b):
@@ -66,7 +63,7 @@ class TupleType(ReplicaType):
         if ia != ib:
             return (a,), (b,)
         comp = self.components[ia]
-        pa, pb = comp.transform_prim(self._inner(a.uid, ia, ba), self._inner(b.uid, ib, bb))
+        pa, pb = comp.transform_prim(Operation(a.uid, ba), Operation(b.uid, bb))
         a2 = tuple(self.op(o.uid, "At", ia, o.body) for o in pa)
         b2 = tuple(self.op(o.uid, "At", ia, o.body) for o in pb)
         return a2, b2
@@ -144,7 +141,7 @@ class MapType(ReplicaType):
         return {}
 
     def _inner_patch(self, uid, bodies):
-        return tuple(Operation(uid, self.component.name, b) for b in bodies)
+        return tuple(Operation(uid, b) for b in bodies)
 
     def apply(self, state, op):
         tag, key, bodies = op.body

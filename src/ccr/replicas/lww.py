@@ -12,7 +12,7 @@ after it is made.
 
 from __future__ import annotations
 
-from ..core import ApplyError, IntentError, WireError, decode_uid
+from ..core import ApplyError, IntentError, WireError, decode_uid, encode_uid
 from .base import ReplicaType, random_word
 
 
@@ -51,7 +51,7 @@ class LwwType(ReplicaType):
         return {
             "type": "WriteExcept",
             "s": s,
-            "drop": [{"site": u.site, "seq": u.seq} for u in sorted(drop)],
+            "drop": [encode_uid(u) for u in sorted(drop)],
         }
 
     def decode_body(self, obj):

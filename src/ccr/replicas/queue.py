@@ -12,7 +12,7 @@ consume one element, not two.
 
 from __future__ import annotations
 
-from ..core import ApplyError, IntentError, WireError, decode_uid, is_int
+from ..core import ApplyError, IntentError, WireError, decode_uid, encode_uid, is_int
 from .base import ALPHABET, ReplicaType
 
 
@@ -78,8 +78,7 @@ class QueueType(ReplicaType):
     def encode_body(self, body):
         if body[0] == "EnqAt":
             return {"type": "EnqAt", "k": body[1], "x": body[2]}
-        t = body[1]
-        return {"type": "Deq", "target": {"site": t.site, "seq": t.seq}}
+        return {"type": "Deq", "target": encode_uid(body[1])}
 
     def decode_body(self, obj):
         tag = obj.get("type")

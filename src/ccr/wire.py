@@ -39,16 +39,18 @@ _skip_space = WHITESPACE.match
 
 def _encode_ops(rt: ReplicaType, ops: Iterable[Operation]) -> List[dict]:
     body = rt.encode_body
+    # ``core.encode_uid`` written out: a call per op would cost the encoder
+    # one more Python frame per op.
     return [{"uid": {"site": op.uid.site, "seq": op.uid.seq}, **body(op.body)} for op in ops]
 
 
 def _decode_ops(rt: ReplicaType, objs: list) -> Patch:
-    name, body = rt.name, rt.decode_body
+    body = rt.decode_body
     ops = []
     for obj in objs:
         if type(obj) is not dict:
             raise WireError(f"operation must be an object: {obj!r}")
-        ops.append(Operation(decode_uid(obj.get("uid")), name, body(obj)))
+        ops.append(Operation(decode_uid(obj.get("uid")), body(obj)))
     return tuple(ops)
 
 

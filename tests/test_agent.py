@@ -460,6 +460,59 @@ class TestInProcess:
             asyncio.run(flow())
         assert any("dropping site 1" in r.getMessage() for r in caplog.records)
 
+    def test_overlong_reply_to_a_dial_fails_the_dial(self, monkeypatch, capsys):
+        monkeypatch.setattr(agent_mod, "FRAME_LIMIT", 4096)
+
+        async def flow():
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(free_port())))
+            assert await a.start() is None
+            rest = asyncio.get_running_loop().create_future()
+
+            async def listener(reader, writer):
+                await reader.readline()  # the dialer's Hello
+                writer.write(b"x" * 5000 + b"\n")
+                rest.set_result(await reader.read())
+                writer.close()
+
+            server = await asyncio.start_server(listener, "127.0.0.1", 0)
+            try:
+                port = server.sockets[0].getsockname()[1]
+                assert await a._exec(f"connect 127.0.0.1:{port}") is False
+                assert "connect failed: frame longer than 4096 bytes" in capsys.readouterr().out
+                assert await asyncio.wait_for(rest, 1.0) == b""  # the dialer closed
+                assert not a.links and a.exit_code == 0 and not a._stopping.is_set()
+            finally:
+                await a._shutdown()
+                server.close()
+
+        asyncio.run(flow())
+
+    def test_overlong_first_line_refuses_the_connection(self, monkeypatch, caplog):
+        monkeypatch.setattr(agent_mod, "FRAME_LIMIT", 4096)
+
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", pa)
+                writer.write(b"x" * 5000 + b"\n")
+                assert await asyncio.wait_for(reader.read(), 1.0) == b""  # refused
+                writer.close()
+                # The site keeps serving: a new link works.
+                x = await RawPeer("counter", 1).connect(pa)
+                x.writer.write(x.frames_of([("Incr", 3)]))
+                await wait_for(lambda: a.state.digest() == "3")
+                assert a.exit_code == 0 and not a._stopping.is_set()
+                x.writer.close()
+            finally:
+                await a._shutdown()
+
+        with caplog.at_level(logging.WARNING):
+            asyncio.run(flow())
+        refused = [r for r in caplog.records if "refused connection" in r.getMessage()]
+        assert len(refused) == 1 and "frame longer than 4096 bytes" in refused[0].getMessage()
+        assert not any(r.exc_info for r in caplog.records)
 
     @pytest.mark.parametrize("backlog", [0, 2])
     def test_dialer_opening_frames(self, backlog):

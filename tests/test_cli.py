@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ccr.cli import props_main, sim_main
+from ccr.cli import agent_main, props_main, sim_main
 from ccr.sim import SimConfig, run_trial
 from support import AGENT_ENV
 
@@ -72,6 +72,8 @@ def test_sim_rejects_counts_out_of_range(args, capsys):
     (props_main, ["--replica", "nosuch"], "unknown replica kind"),
     (sim_main, ["--replica", "nosuch"], "unknown replica kind"),
     (sim_main, ["--replica", "map<counter"], "bad kind syntax"),
+    (agent_main, ["--site", "0", "--replica", "nosuch", "--listen", "127.0.0.1:0"],
+     "unknown replica kind"),
 ])
 def test_bad_input_is_a_usage_error(main, args, error, capsys):
     with pytest.raises(SystemExit) as e:

@@ -82,11 +82,6 @@ class TestApply:
         p = (incr(0, 1, 2), incr(0, 2, 3))
         assert apply_patch(C, 0, p) == 5
 
-    def test_kind_mismatch_rejected(self):
-        op = T.op(OpId(0, 1), "Ins", 0, "a")
-        with pytest.raises(ApplyError):
-            apply_patch(C, 0, (op,))
-
     def test_apply_error_names_uid_and_state(self):
         bad = T.op(OpId(3, 9), "Ins", 5, "x")
         with pytest.raises(ApplyError) as e:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import ccr.sim
-from ccr.core import OpId, WireError
+from ccr.core import OpId, WireError, decode_uid, encode_uid
 from ccr.protocol import Full, Hello, Increment, ResyncReq, SiteState
 from ccr.replicas import replica_type
 from ccr.sim import SimConfig, random_update, run_trial
@@ -391,6 +391,16 @@ class TestRejects:
     def test_encode_unknown_message(self):
         with pytest.raises(WireError):
             encode_message(COUNTER, object())
+
+
+def test_every_uid_has_one_wire_form():
+    # The op codec writes ``encode_uid`` out; the lww and queue bodies call it.
+    uid = OpId(3, 2**63 + 5)
+    assert encode_uid(uid) == {"site": 3, "seq": 2**63 + 5}
+    assert decode_uid(encode_uid(uid)) == uid
+    assert encode_op(COUNTER, COUNTER.op(uid, "Incr", 1))["uid"] == encode_uid(uid)
+    assert replica_type("lww").encode_body(("WriteExcept", "v", {uid}))["drop"] == [encode_uid(uid)]
+    assert replica_type("queue").encode_body(("Deq", uid))["target"] == encode_uid(uid)
 
 
 def test_decode_op_requires_object():
