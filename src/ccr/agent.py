@@ -22,9 +22,12 @@ was, and a peer waiting on an answer is not kept waiting.  TCP delivers in
 order, so a piece held past a gap after a read waits on something that will
 never come: the site is told the link has drained
 (``SiteState.link_drained``) and asks for the peer's history.  Only then
-do the replies go out.  All site mutations happen on the event loop, between
-awaits, so the engine needs no locks.  Exit codes: 0 clean quit, 2
-configuration error, 3 protocol fault or a scripted ``sync`` that timed out.
+do the replies go out.  Sending never waits; a link's read loop waits on
+that link's own writes after each batch and nothing else, so a peer that
+stops reading slows only its own link.  All site mutations happen on the
+event loop, between awaits, so the engine needs no locks.  Exit codes: 0
+clean quit, 2 configuration error, 3 protocol fault or a scripted ``sync``
+that timed out.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ class Agent:
         self._register(peer, reader, writer, addr)
         # The request first (a peer may insist on it right after the Hello),
         # then the backlog: nothing else sends it before the next local change.
-        await self._send(self.state.request_resync(peer) + self.state.flush(peer))
+        self._send(self.state.request_resync(peer) + self.state.flush(peer))
         log.info("dialed site %d at %s:%d", peer, *addr)
         return peer
 
@@ -228,7 +231,8 @@ class Agent:
                 if len(lines) > 1:
                     lines[0] = bytes(partial)
                     partial = bytearray(lines.pop())
-                    await self._handle_batch(peer, lines)
+                    self._handle_batch(peer, lines)
+                    await link.writer.drain()  # this link's writes, no other's
         except asyncio.CancelledError:
             return  # whoever cancelled has closed the link
         except SiteFaulted as e:
@@ -243,7 +247,7 @@ class Agent:
         self._close(peer, link)
         log.info("site %d disconnected", peer)
 
-    async def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
+    def _handle_batch(self, peer: int, frames: List[bytes]) -> None:
         """Decode complete frames up to the first bad one, integrate them as
         one batch, flush the echo the batch deferred, ask for a resync if a
         gap is left open, then send the replies.  A bad frame still lets the
@@ -264,13 +268,13 @@ class Agent:
             out += self.state.link_drained(peer)
         except ProtocolError as e:
             out, bad = [m for site in self.links for m in self.state.flush(site)], e
-        await self._send(out)
+        self._send(out)
         if bad is not None:
             raise bad
 
-    async def _send(self, pairs: Sequence[Tuple[int, Message]]) -> None:
-        """Write every message, then wait once for each link written to."""
-        written: Dict[int, _Link] = {}
+    def _send(self, pairs: Sequence[Tuple[int, Message]]) -> None:
+        """Hand every message to its link's transport, and wait for none:
+        a link's read loop waits on that link's own writes and nothing else."""
         for peer, msg in pairs:
             link = self.links.get(peer)
             if link is None or link.writer.is_closing():
@@ -278,15 +282,7 @@ class Agent:
                 # the peer up when the link returns
                 continue
             link.writer.write(encode_message(self.rt, msg))
-            written[peer] = link
-        if not written:
-            return
-        self._last_traffic = asyncio.get_running_loop().time()
-        for peer, link in written.items():
-            try:
-                await link.writer.drain()
-            except ConnectionError:
-                self._close(peer, link)
+            self._last_traffic = asyncio.get_running_loop().time()
 
     # -- command surface -------------------------------------------------------
 
@@ -342,7 +338,7 @@ class Agent:
             out, msgs = repl_eval(self.state, cmd)
             if out:
                 print(out, flush=True)
-            await self._send(msgs)
+            self._send(msgs)
         except SiteFaulted as e:
             self._fatal(e)
             return True
@@ -360,13 +356,15 @@ class Agent:
         return False
 
     async def _sync(self, timeout: float) -> bool:
-        """Barrier: wait until nothing is unsent and the wire has gone quiet."""
+        """Barrier: wait until nothing is unsent, not even bytes a live link's
+        transport still holds, and the wire has gone quiet."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while True:
             # only live links count: a departed peer's backlog is resync work
             # for later, not something this barrier can wait out
-            unsent = any(map(self.state.deferred, self.links))
+            unsent = any(map(self.state.deferred, self.links)) or any(
+                link.writer.transport.get_write_buffer_size() for link in self.links.values())
             quiet = loop.time() - self._last_traffic >= QUIET_WINDOW
             if not unsent and quiet:
                 return True

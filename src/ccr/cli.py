@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from typing import List, Optional
 
@@ -35,8 +34,7 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
         listen = parse_addr(args.listen)
         connect = tuple(parse_addr(a) for a in args.connect)
     except ValueError as e:
-        print(f"bad address: {e}", file=sys.stderr)
-        return 2
+        ap.error(f"bad address: {e}")
     cfg = AgentConfig(site=args.site, kind=args.replica, listen=listen,
                       connect=connect, script=args.script)
     return run_agent(cfg)

@@ -224,12 +224,19 @@ class SiteStats(SimpleNamespace):
 def _runs(msgs: Sequence[Message]) -> Sequence[Message]:
     """One peer's messages in order, each ``Increment`` merged into the one
     before it when both have the same kind and it starts where that one
-    ends.  A message merged with none is passed on as it is."""
+    ends, and each ``ResyncReq`` after the first dropped until a ``Hello``:
+    the first one's Full covers the history up to it, and the deferred
+    increment the rest.  A message merged with none is passed on as it is."""
     if len(msgs) < 2:
         return msgs
     runs: List[List[Message]] = []
     end = None  # where the last run ends, while it is a run of increments
+    asked = False  # a ResyncReq is kept since the last Hello
     for msg in msgs:
+        req = isinstance(msg, ResyncReq)
+        if req and asked:
+            continue
+        asked = (asked or req) and not isinstance(msg, Hello)
         inc = isinstance(msg, Increment)
         if inc and msg.prefix_len == end and msg.kind == runs[-1][0].kind:
             runs[-1].append(msg)

@@ -32,14 +32,13 @@ class ReplCommand(NamedTuple):
 
 
 def parse_addr(text: str) -> Addr:
-    """``host:port`` as a pair; ValueError if the text is not one."""
+    """``host:port`` as a pair, port in 0..65535; ValueError if the text is not one."""
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"expected host:port, got {text!r}")
-    try:
+    if port.isascii() and port.isdigit() and int(port) <= 65535:
         return host, int(port)
-    except ValueError:
-        raise ValueError(f"bad port in {text!r}") from None
+    raise ValueError(f"bad port in {text!r}")
 
 
 def parse_line(rt: ReplicaType, line: str) -> ReplCommand:

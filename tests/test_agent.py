@@ -60,8 +60,14 @@ class RawPeer:
         self.seen = []  # uids of the ops in every frame read, in order
         self.frames = 0
 
-    async def connect(self, port):
-        self.reader, self.writer = await asyncio.open_connection("127.0.0.1", port)
+    async def connect(self, port, rcvbuf=None):
+        """Connect and exchange Hellos; ``rcvbuf`` shrinks the socket's
+        receive buffer, so a peer that never reads fills it soon."""
+        sock = socket.socket()
+        if rcvbuf is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        sock.connect(("127.0.0.1", port))
+        self.reader, self.writer = await asyncio.open_connection(sock=sock)
         self.writer.write(encode_message(self.rt, Hello(self.site, self.rt.name, 0)))
         assert isinstance(decode_message(self.rt, await self.reader.readline()), Hello)
         return self
@@ -90,6 +96,10 @@ def test_parse_addr():
         parse_addr("80")
     with pytest.raises(ValueError):
         parse_addr("host:pt")
+    assert parse_addr("h:0") == ("h", 0) and parse_addr("h:65535") == ("h", 65535)
+    for port in ("65536", "99999", "-1", "+80", "²"):
+        with pytest.raises(ValueError, match="bad port"):
+            parse_addr(f"h:{port}")
 
 
 def test_exec_parses_each_line_once(monkeypatch):
@@ -655,6 +665,27 @@ class TestBatchedFrames:
 
         asyncio.run(flow())
 
+    def test_one_read_of_resync_requests_gets_one_full(self):
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                for _ in range(50):
+                    a.state.local_update(("incr", 1))
+                x = await RawPeer("counter", 1).connect(pa)
+                # Many requests at once, then an op that marks their end;
+                # x never reads the Fulls.
+                reqs = encode_message(x.rt, ResyncReq()) * 2000
+                x.writer.write(reqs + x.frames_of([("Incr", 1)]))
+                await wait_for(lambda: a.state.digest() == "51")
+                assert 1 <= a.state.stats.fulls_served <= 10
+                x.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+
     def test_gap_inside_a_read_resyncs_once(self):
         async def flow():
             pa = free_port()
@@ -867,6 +898,63 @@ class TestBatchedFrames:
 
         asyncio.run(flow())
         assert "fatal:" in capsys.readouterr().err
+
+
+class TestStalledPeer:
+    """A peer that holds its link and never reads slows only that link.
+    The flood is lww writes of 2 KiB, 8 MB in all: more than the kernel
+    buffers between the agent and the stalled peer hold."""
+    n = 4000
+
+    def flood(self, check):
+        """Agent A with peer C, which never reads, and peer B, which floods
+        A and reads A's echo; ``check(a, c)`` runs once B has it all."""
+        # each write drops the one before it, as a site writing alone does
+        writes = [("WriteExcept", f"{i:06}".ljust(2048, "x"),
+                   frozenset({OpId(1, i)} if i else ())) for i in range(self.n)]
+
+        async def flow():
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="lww", listen=addr(pa)))
+            assert await a.start() is None
+            try:
+                c = await RawPeer("lww", 2).connect(pa, rcvbuf=4096)
+                await wait_for(lambda: 2 in a.links)
+                b = await RawPeer("lww", 1).connect(pa)
+                b.writer.write(b.frames_of(writes))
+                await b.read_until(self.n, timeout=10)
+                await check(a, c)
+                b.writer.close()
+                c.writer.close()
+            finally:
+                await a._shutdown()
+
+        asyncio.run(flow())
+
+    def test_stalled_peer_slows_only_its_own_link(self):
+        async def check(a, c):
+            assert len(a.state.history) == self.n
+            await asyncio.wait_for(a._exec("write done"), 2)
+            assert a.state.digest() == '["done"]'
+            # what C has not taken waits in its own link's transport
+            assert a.links[2].writer.transport.get_write_buffer_size() > 0
+
+        self.flood(check)
+
+    def test_sync_counts_what_a_live_link_still_holds(self):
+        async def check(a, c):
+            assert not await a._sync(0.5)
+
+            async def read_all():
+                while await c.reader.read(1 << 16):
+                    pass
+
+            reading = asyncio.create_task(read_all())
+            assert await a._sync(10)
+            assert a.links[2].writer.transport.get_write_buffer_size() == 0
+            reading.cancel()
+
+        self.flood(check)
 
 
 class TestSubprocess:

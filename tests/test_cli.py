@@ -74,6 +74,10 @@ def test_sim_rejects_counts_out_of_range(args, capsys):
     (sim_main, ["--replica", "map<counter"], "bad kind syntax"),
     (agent_main, ["--site", "0", "--replica", "nosuch", "--listen", "127.0.0.1:0"],
      "unknown replica kind"),
+    (agent_main, ["--site", "0", "--replica", "counter", "--listen", "127.0.0.1:99999"],
+     "bad address: bad port in '127.0.0.1:99999'"),
+    (agent_main, ["--site", "0", "--replica", "counter", "--listen", "127.0.0.1:0",
+                  "--connect", "127.0.0.1:70000"], "bad address: bad port in '127.0.0.1:70000'"),
 ])
 def test_bad_input_is_a_usage_error(main, args, error, capsys):
     with pytest.raises(SystemExit) as e:

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a module under
-``src/ccr`` imports is used in it."""
+``src/ccr`` imports is used in it, and the agent waits on a link's writes
+only in that link's read loop."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,19 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os.path\nfrom typing import List, Tuple\nx: List[int] = []\n")
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["os", "Tuple"]
+
+
+def test_agent_waits_on_a_link_only_in_its_read_loop():
+    """A peer that stops reading slows only its own link: the one ``drain``
+    in the agent is in ``Agent._read_loop``, and ``_send`` and
+    ``_handle_batch`` are plain functions."""
+    tree = ast.parse((SRC / "agent.py").read_text())
+    [agent] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Agent"]
+    methods = {f.name: f for f in agent.body
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def drains(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "drain" for n in ast.walk(node))
+
+    assert drains(tree) == drains(methods["_read_loop"]) == 1
+    assert type(methods["_send"]) is type(methods["_handle_batch"]) is ast.FunctionDef

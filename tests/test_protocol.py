@@ -810,6 +810,18 @@ class TestHandleBatch:
         [(peer, echo)] = b.flush(0)
         assert (peer, type(echo), echo.prefix_len, len(echo.ops)) == (0, Increment, 0, 100)
 
+    def test_one_full_per_batch_of_resync_requests(self):
+        # The first request's Full covers the history; the others add
+        # nothing, unless a Hello between them has reset the cursor.
+        b = self.receiver()
+        b.local_update(("incr", 1))
+        [(peer, full)] = b.handle_batch(0, [ResyncReq()] * 3)
+        assert (peer, type(full), tuple(full.ops)) == (0, Full, tuple(b.history))
+        assert b.stats.fulls_served == 1
+        out = b.handle_batch(0, [ResyncReq(), Hello(0, "counter", 0), ResyncReq()])
+        assert [type(m) for _, m in out] == [Full, Full]
+        assert b.stats.fulls_served == 3
+
     def test_kind_mismatch_mid_batch_keeps_earlier_commits(self):
         _, incs = self.sender(3)
         other = incs[2]._replace(kind="text")

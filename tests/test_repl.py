@@ -39,6 +39,9 @@ class TestParseControl:
     @pytest.mark.parametrize("line", [
         "connect nocolon",
         "connect a:b:notaport",
+        "connect 127.0.0.1:99999",
+        "connect 127.0.0.1:65536",
+        "disconnect localhost:-1",
         "show me",
         "sync 1 2",
         "sync -1",
