@@ -1,11 +1,11 @@
 """Composite kinds: fixed tuples of components and string-keyed maps.
 
-Component operations are addressed structurally: At(i, op) routes into tuple
-slot i, Upd(key, patch) routes into a map entry, creating it from the
-component's initial state on first touch.  Transformation delegates: ops on
-different slots or keys commute untouched; ops on the same slot or key are
-transformed by the component (for maps, via the full sweep, since an Upd
-carries a whole inner patch).
+Component operations are addressed structurally: At(i, op) routes one op
+into tuple slot i, Upd(key, op) routes one op into a map entry, creating it
+from the component's initial state on first touch.  Both kinds share one
+transform: ops on different slots or keys commute untouched; ops on the same
+slot or key are transformed by the component, and the fragments of a split
+stay sibling outer ops at that address, as a split text delete does.
 
 Commands and random intents recurse the same way: ``at I <cmd>`` and
 ``upd KEY <cmd>`` wrap a command of the component.  The social-media post
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..core import ApplyError, IntentError, Operation, WireError, is_int, transform_patch
+from ..core import ApplyError, IntentError, Operation, WireError, is_int
 from .base import ReplicaType, arity, int_arg
 
 POST_SHAPE = "tuple<lww,eset,counter,counter>"
@@ -39,7 +39,21 @@ def _command(rt: ReplicaType, tokens):
     return intent
 
 
-class TupleType(ReplicaType):
+class _Routed(ReplicaType):
+    """A kind whose op ``(tag, addr, body)`` routes one op ``body`` to the
+    component ``component_at(addr)``, at a tuple slot or a map key."""
+
+    def transform_prim(self, a, b):
+        tag, addr, ba = a.body
+        if addr != b.body[1]:
+            return (a,), (b,)
+        pa, pb = self.component_at(addr).transform_prim(
+            Operation(a.uid, ba), Operation(b.uid, b.body[2]))
+        return (tuple(self.op(o.uid, tag, addr, o.body) for o in pa),
+                tuple(self.op(o.uid, tag, addr, o.body) for o in pb))
+
+
+class TupleType(_Routed):
     def __init__(self, components: Tuple[ReplicaType, ...]):
         self.components = tuple(components)
         self.name = "tuple<" + ",".join(c.name for c in self.components) + ">"
@@ -53,20 +67,11 @@ class TupleType(ReplicaType):
             raise ApplyError(f"unknown tuple op {tag!r}")
         if not (0 <= i < len(self.components)):
             raise ApplyError(f"tuple index {i} out of range 0..{len(self.components) - 1}")
-        comp = self.components[i]
-        slot = comp.apply(state[i], Operation(op.uid, body))
+        slot = self.components[i].apply(state[i], Operation(op.uid, body))
         return state[:i] + (slot,) + state[i + 1:]
 
-    def transform_prim(self, a, b):
-        _, ia, ba = a.body
-        _, ib, bb = b.body
-        if ia != ib:
-            return (a,), (b,)
-        comp = self.components[ia]
-        pa, pb = comp.transform_prim(Operation(a.uid, ba), Operation(b.uid, bb))
-        a2 = tuple(self.op(o.uid, "At", ia, o.body) for o in pa)
-        b2 = tuple(self.op(o.uid, "At", ia, o.body) for o in pb)
-        return a2, b2
+    def component_at(self, i):
+        return self.components[i]
 
     def gen_effective(self, state, intent, uid):
         verb, i, inner_intent = intent
@@ -132,7 +137,7 @@ class SocialPostType(TupleType):
         return ("at", i, ("incr", 1) if inner == "incr" else (inner, rng.choice(_COMMENTS)))
 
 
-class MapType(ReplicaType):
+class MapType(_Routed):
     def __init__(self, component: ReplicaType):
         self.component = component
         self.name = f"map<{component.name}>"
@@ -140,32 +145,17 @@ class MapType(ReplicaType):
     def initial(self):
         return {}
 
-    def _inner_patch(self, uid, bodies):
-        return tuple(Operation(uid, b) for b in bodies)
-
     def apply(self, state, op):
-        tag, key, bodies = op.body
+        tag, key, body = op.body
         if tag != "Upd":
             raise ApplyError(f"unknown map op {tag!r}")
         cur = state[key] if key in state else self.component.initial()
-        for inner in self._inner_patch(op.uid, bodies):
-            cur = self.component.apply(cur, inner)
         new = dict(state)
-        new[key] = cur
+        new[key] = self.component.apply(cur, Operation(op.uid, body))
         return new
 
-    def transform_prim(self, a, b):
-        _, ka, pa = a.body
-        _, kb, pb = b.body
-        if ka != kb:
-            return (a,), (b,)
-        # The entry's state is not at hand, and the sweep reads none.
-        left, right = transform_patch(
-            self.component, None, self._inner_patch(a.uid, pa), self._inner_patch(b.uid, pb)
-        )
-        a2 = (self.op(a.uid, "Upd", ka, tuple(o.body for o in left)),) if left else ()
-        b2 = (self.op(b.uid, "Upd", kb, tuple(o.body for o in right)),) if right else ()
-        return a2, b2
+    def component_at(self, key):
+        return self.component
 
     def gen_effective(self, state, intent, uid):
         verb, key, inner_intent = intent
@@ -177,7 +167,7 @@ class MapType(ReplicaType):
         inner = self.component.gen_effective(comp_state, inner_intent, uid)
         if inner is None:
             return None
-        return self.op(uid, "Upd", key, (inner.body,))
+        return self.op(uid, "Upd", key, inner.body)
 
     def parse_intent(self, verb, args):
         if verb not in ("upd", self.component.map_verb):
@@ -194,18 +184,15 @@ class MapType(ReplicaType):
     def digest_value(self, state):
         return {k: self.component.digest_value(v) for k, v in state.items()}
 
+    # "patch" stays a list, of one op, so unsplit ops keep their old frames.
     def encode_body(self, body):
-        _, key, bodies = body
-        return {
-            "type": "Upd",
-            "key": key,
-            "patch": [self.component.encode_body(b) for b in bodies],
-        }
+        _, key, inner = body
+        return {"type": "Upd", "key": key, "patch": [self.component.encode_body(inner)]}
 
     def decode_body(self, obj):
         if obj.get("type") != "Upd" or not isinstance(obj.get("key"), str):
             raise WireError(f"bad map op: {obj!r}")
         patch = obj.get("patch")
-        if not isinstance(patch, list) or not patch or not all(isinstance(x, dict) for x in patch):
+        if not isinstance(patch, list) or len(patch) != 1 or not isinstance(patch[0], dict):
             raise WireError(f"bad map op patch: {obj!r}")
-        return ("Upd", obj["key"], tuple(self.component.decode_body(x) for x in patch))
+        return ("Upd", obj["key"], self.component.decode_body(patch[0]))

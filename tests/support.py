@@ -7,7 +7,6 @@ import shutil
 import sys
 
 import ccr
-import ccr.replicas.composite as composite
 import ccr.sim
 from ccr.core import EMPTY, ApplyError, TransformResult, transform_patch
 from ccr.protocol import SiteState
@@ -51,15 +50,10 @@ def count_applies(monkeypatch):
 
 def reference_transform(rt, p, q):
     """What ``transform_patch(rt, None, p, q)`` must return, computed by
-    the sweep as two mutually recursive loops, one op of p at a time.  The
-    inner sweeps of a map's entries run the same loops, not the code under
-    test."""
-    real = composite.transform_patch
-    composite.transform_patch = lambda rt, state, p, q: _ref_sweep(rt, tuple(p), tuple(q))
-    try:
-        return _ref_sweep(rt, tuple(p), tuple(q))
-    finally:
-        composite.transform_patch = real
+    the sweep as two mutually recursive loops, one op of p at a time.  A
+    composite's split fragments are sibling outer ops, so they go through
+    these loops like any other fragment."""
+    return _ref_sweep(rt, tuple(p), tuple(q))
 
 
 def _ref_sweep(rt, p, q):

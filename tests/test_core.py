@@ -206,7 +206,7 @@ class TestSweepOracle:
         rng = random.Random("sweep-oracle-one-entry")
 
         def entry(ops):
-            return tuple(rt.op(op.uid, "Upd", "k", (op.body,)) for op in ops)
+            return tuple(rt.op(op.uid, "Upd", "k", op.body) for op in ops)
 
         for p, q in self.cases(text, rng, 400):
             p, q = entry(p), entry(q)

@@ -1,6 +1,6 @@
 """Source hygiene checks that need no linter: every name a module under
-``src/ccr`` imports is used in it, and the agent waits on a link's writes
-only in that link's read loop."""
+``src/ccr`` imports is used in it, no replica kind re-enters the sweep, and
+the agent waits on a link's writes only in that link's read loop."""
 
 import ast
 from pathlib import Path
@@ -53,6 +53,26 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os.path\nfrom typing import List, Tuple\nx: List[int] = []\n")
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["os", "Tuple"]
+
+
+def sweep_imports(tree):
+    """The names of ``core``'s sweep that ``tree`` imports from it."""
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("core", "ccr.core")
+            for alias in node.names if alias.name in ("transform_patch", "_sweep")]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "replicas").glob("*.py")), ids=lambda p: p.name)
+def test_no_replica_kind_reenters_the_sweep(path):
+    """The sweep has one home, ``ccr.core``: a composite routes each op to
+    its component's ``transform_prim`` and never sweeps a patch itself."""
+    assert sweep_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_a_sweep_import_is_caught():
+    tree = ast.parse("from ..core import ApplyError, transform_patch\n"
+                     "from ccr.core import _sweep\nfrom .base import transform_patch\n")
+    assert sweep_imports(tree) == ["transform_patch", "_sweep"]
 
 
 def test_agent_waits_on_a_link_only_in_its_read_loop():

@@ -119,7 +119,7 @@ class TestHarness:
         ("counter", "e70610e136365092"), ("addmult", "43f9d849d5019996"),
         ("lww", "8b79ca4d4d4d6a7a"), ("eset", "c63aca1b240c3988"),
         ("queue", "9eb61c07aef40f80"), ("text", "27df1267d4613228"),
-        ("socialmedia", "1964ac443739a3f0")])
+        ("socialmedia", "5586e7ce6c10554f")])
     def test_inputs_are_pinned(self, kind, pinned, monkeypatch):
         h = hashlib.sha256()
         real = ccr.props.check_one

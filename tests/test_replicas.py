@@ -305,8 +305,8 @@ class TestComposites:
 
     def test_media_digest_sorts_keys(self):
         s = self.media.initial()
-        s = self.media.apply(s, self.media.op(OpId(0, 1), "Upd", "zz", (("At", 2, ("Incr", 1)),)))
-        s = self.media.apply(s, self.media.op(OpId(0, 2), "Upd", "aa", (("At", 3, ("Incr", 2)),)))
+        s = self.media.apply(s, self.media.op(OpId(0, 1), "Upd", "zz", ("At", 2, ("Incr", 1))))
+        s = self.media.apply(s, self.media.op(OpId(0, 2), "Upd", "aa", ("At", 3, ("Incr", 2))))
         assert self.media.digest(s) == '{"aa":[[],[],0,2],"zz":[[],[],1,0]}'
 
     def test_tuple_index_guard(self):

@@ -73,6 +73,8 @@ class TestDeterminism:
         "queue": "fcf16ea2505aec18",
         "text": "3cabaf96568b539b",
         "socialmedia": "7a8411b4226fee2d",
+        "map<text>": "a4d9fb74b78feb09",
+        "tuple<counter,text>": "f7ef35233c432d81",
     }
 
     def test_faulty_ring_trials_match_their_pinned_hashes(self):

@@ -6,6 +6,7 @@ each test re-run that derivation mechanically.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -17,7 +18,9 @@ from ccr import (
     confluent_rep,
     transform_patch,
 )
+from ccr.protocol import Increment, SiteState
 from ccr.replicas import replica_type
+from ccr.wire import decode_message, encode_message
 
 TEXT = replica_type("text")
 CTR = replica_type("counter")
@@ -291,25 +294,50 @@ class TestComposite:
         assert POST.digest_value(final) == [["hi", "yo"], [], 0, 0]
 
     def test_map_auto_vivifies(self):
-        op = MEDIA.op(OpId(0, 1), "Upd", "post1", (("At", 2, ("Incr", 1)),))
+        op = MEDIA.op(OpId(0, 1), "Upd", "post1", ("At", 2, ("Incr", 1)))
         final = apply_patch(MEDIA, {}, (op,))
         assert MEDIA.digest_value(final) == {"post1": [[], [], 1, 0]}
 
     def test_map_distinct_keys_commute(self):
-        a = MEDIA.op(OpId(0, 1), "Upd", "p1", (("At", 2, ("Incr", 1)),))
-        b = MEDIA.op(OpId(1, 1), "Upd", "p2", (("At", 3, ("Incr", 1)),))
+        a = MEDIA.op(OpId(0, 1), "Upd", "p1", ("At", 2, ("Incr", 1)))
+        b = MEDIA.op(OpId(1, 1), "Upd", "p2", ("At", 3, ("Incr", 1)))
         assert transform_patch(MEDIA, {}, (a,), (b,)) == ((a,), (b,))
 
     def test_map_same_key_transforms_inner(self):
-        a = MEDIA.op(OpId(0, 1), "Upd", "p1", (("At", 1, ("Add", "nice")),))
-        b = MEDIA.op(OpId(1, 1), "Upd", "p1", (("At", 1, ("Add", "nice")),))
+        a = MEDIA.op(OpId(0, 1), "Upd", "p1", ("At", 1, ("Add", "nice")))
+        b = MEDIA.op(OpId(1, 1), "Upd", "p1", ("At", 1, ("Add", "nice")))
         left, right = transform_patch(MEDIA, {}, (a,), (b,))
         assert left == () and right == ()
         final = both_orders(MEDIA, {}, (a,), (b,))
         assert MEDIA.digest_value(final) == {"p1": [[], ["nice"], 0, 0]}
 
     def test_map_same_key_concurrent_likes_both_count(self):
-        a = MEDIA.op(OpId(0, 1), "Upd", "p1", (("At", 2, ("Incr", 1)),))
-        b = MEDIA.op(OpId(1, 1), "Upd", "p1", (("At", 2, ("Incr", 1)),))
+        a = MEDIA.op(OpId(0, 1), "Upd", "p1", ("At", 2, ("Incr", 1)))
+        b = MEDIA.op(OpId(1, 1), "Upd", "p1", ("At", 2, ("Incr", 1)))
         final = both_orders(MEDIA, {}, (a,), (b,))
         assert MEDIA.digest_value(final) == {"p1": [[], [], 2, 0]}
+
+    def test_map_split_fragments_are_sibling_ops(self):
+        # A delete split by an insert inside its range stays two Upd ops on
+        # one key, side by side and sharing the delete's uid, as in text.
+        rt = replica_type("map<text>")
+        base = rt.op(OpId(2, 1), "Upd", "k", ("Ins", 0, "abc"))
+        a = rt.op(OpId(0, 1), "Upd", "k", ("Del", 0, 3))
+        b = rt.op(OpId(1, 1), "Upd", "k", ("Ins", 1, "x"))
+        left, right = transform_patch(rt, None, (a,), (b,))
+        assert left == (rt.op(OpId(0, 1), "Upd", "k", ("Del", 0, 1)),
+                        rt.op(OpId(0, 1), "Upd", "k", ("Del", 2, 2)))
+        assert right == (b,)
+
+        inc = Increment(kind=rt.name, sender=0, prefix_len=0, ops=left)
+        raw = encode_message(rt, inc)
+        assert [len(op["patch"]) for op in json.loads(raw)["ops"]] == [1, 1]
+        assert decode_message(rt, raw) == inc
+
+        site = SiteState(3, rt)
+        for peer, ops in ((1, (base, b)), (0, (base, a))):
+            site.connect_peer(peer)
+            site.handle_message(peer, Increment(kind=rt.name, sender=peer, prefix_len=0, ops=ops))
+        assert site.history == (base, b) + left
+        assert rt.digest_value(site.current) == {"k": "x"}
+        site.check_invariants()

@@ -108,7 +108,7 @@ class TestGoldenOps:
 
     def test_map_update(self):
         rt = replica_type("socialmedia")
-        op = rt.op(OpId(0, 1), "Upd", "p1", (("At", 3, ("Incr", 1)),))
+        op = rt.op(OpId(0, 1), "Upd", "p1", ("At", 3, ("Incr", 1)))
         assert op_bytes(rt, op) == (
             '{"uid":{"site":0,"seq":1},"type":"Upd","key":"p1",'
             '"patch":[{"type":"At","i":3,"op":{"type":"Incr","n":1}}]}'
@@ -140,8 +140,8 @@ class TestRoundTrips:
             "text": [("Ins", 0, "ab"), ("Del", 2, 2)],
             "socialpost": [("At", 0, ("WriteExcept", "t", frozenset())),
                            ("At", 1, ("Add", "c"))],
-            "socialmedia": [("Upd", "k1", (("At", 2, ("Incr", 1)),
-                                           ("At", 0, ("WriteExcept", "s", frozenset()))))],
+            "socialmedia": [("Upd", "k1", ("At", 2, ("Incr", 1))),
+                            ("Upd", "k1", ("At", 0, ("WriteExcept", "s", frozenset())))],
         }
         for kind, bodies in cases.items():
             rt = replica_type(kind)
@@ -341,9 +341,11 @@ class TestRejects:
         ("map<text>", '"type":"Upd","key":"a","patch":[{"type":"Del","k":2,"n":-1}]'),
         ("addmult", '"type":"Mult","n":1'),
         ("socialmedia", '"type":"Upd","key":"p1","patch":[]'),
+        ("map<text>", '"type":"Upd","key":"a","patch":[{"type":"Del","k":0,"n":1},'
+                      '{"type":"Del","k":2,"n":2}]'),
     ], ids=["counter-zero", "counter-over", "counter-under", "text-ins-k", "text-ins-empty",
             "text-del-k", "text-del-n", "queue-k", "map-inner", "addmult-mult-one",
-            "map-empty-patch"])
+            "map-empty-patch", "map-two-bodies"])
     def test_op_no_site_makes(self, kind, body):
         # No site makes any of these ops, so the codec refuses them: a peer
         # that sends one loses its link, and the receiver stays up.
