@@ -1,13 +1,17 @@
 """Deterministic protocol fuzzing on a simulated network.
 
-A trial wires up real SiteState machines over a logical-time event queue: no
-sockets, no wall clock, every choice drawn from one seeded RNG, so a seed
-reproduces a trial exactly.  Local updates are scheduled across a time
-horizon; each offers its site intents drawn by the kind's ``draw_intent``
-until one takes effect, so the site itself tests each draw, once.
-Deliveries take a small random delay.  Without --reorder, deliveries between
-a pair stay FIFO like a stream socket; with it they may overtake.
---duplicate occasionally delivers a message once more, later.
+A trial wires up real SiteState machines over logical time: no sockets, no
+wall clock, every choice drawn from two RNGs seeded by the trial's seed (the
+plan's and the network's), so a seed reproduces a trial exactly.  Time is in
+integer ticks.  The agenda keeps one list of events per tick, in the order
+they were scheduled, and runs the ticks in ascending order; no event is
+ever scheduled for the tick being run, so each list is complete when its
+tick starts.  Local updates are scheduled across a time horizon; each offers
+its site intents drawn by the kind's ``draw_intent`` until one takes effect,
+so the site itself tests each draw, once.  A delivery takes a delay of 1-3
+ticks, one ``choice`` over the constant ``DELAYS``.  Without --reorder,
+deliveries between a pair stay FIFO like a stream socket; with it they may
+overtake.  --duplicate occasionally delivers a message once more, later.
 Every message due on one link at one tick is delivered as one batch, in
 send order, through ``SiteState.handle_batch``: the simulator's counterpart
 of one socket read in the agent.  A piece that overtook another is held by
@@ -22,7 +26,7 @@ to that peer has often carried it, so the flush sends nothing.
 
 ``run_trial`` takes a ``SimConfig`` and returns a ``TrialReport``, both
 named tuples; the report's ``stats`` sums every site's ``SiteStats``, its
-counters in their order.  A trial converges when the queue drains, every
+counters in their order.  A trial converges when the agenda drains, every
 cursor is caught up, and all site digests are equal.  Exceeding the event
 budget is reported as nonterminating, which is a different failure than
 divergence.
@@ -30,9 +34,8 @@ divergence.
 
 from __future__ import annotations
 
-import heapq
 import random
-from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import CcrError, IntentError
 from .protocol import SiteState, SiteStats, quiescent
@@ -41,6 +44,11 @@ from .replicas.base import DRAWS
 
 # Ticks a deferred echo waits for a later increment on its link to carry it.
 ECHO_DELAY = 4
+# Delays in ticks, each drawn by one ``choice``: a message's, and a
+# duplicate's after it.  ``choice`` over a tuple draws the same stream as
+# ``randint`` over its range, in one call instead of three.
+DELAYS = (1, 2, 3)
+DUPLICATE_DELAYS = (1, 2, 3, 4, 5, 6)
 
 
 class SimConfig(NamedTuple):
@@ -88,15 +96,17 @@ def topology_edges(topology: str, n: int) -> List[Tuple[int, int]]:
 
 def random_update(site: SiteState, rng: random.Random) -> Optional[Tuple[Tuple[Any, ...], list]]:
     """The first of up to ``DRAWS`` drawn intents that grows ``site``'s
-    history, with its replies, or None; the others leave the site as it was."""
+    history, with its replies, or None; the others leave the site as it was.
+    A draw took effect when it advanced ``site.next_seq``, which a local op
+    does exactly when it joins the history."""
     for _ in range(DRAWS):
         intent = site.rt.draw_intent(rng, site.current)
-        n = len(site.history)
+        seq = site.next_seq
         try:
             out = site.local_update(intent)
         except IntentError:
             continue
-        if len(site.history) > n:
+        if site.next_seq > seq:
             return intent, out
     return None
 
@@ -110,121 +120,117 @@ def run_trial(cfg: SimConfig, script: Optional[List[Tuple[int, int, Tuple[Any, .
     # replay retraces the original trial exactly.
     plan_rng = random.Random(f"{cfg.seed}:plan")
     net_rng = random.Random(f"{cfg.seed}:net")
+    n = cfg.sites
     rt = replica_type(cfg.kind)
-    sites = {i: SiteState(i, rt) for i in range(cfg.sites)}
-    for i, j in topology_edges(cfg.topology, cfg.sites):
+    sites = {i: SiteState(i, rt) for i in range(n)}
+    for i, j in topology_edges(cfg.topology, n):
         sites[i].connect_peer(j)
         sites[j].connect_peer(i)
 
-    heap: List[Tuple[int, int, str, Tuple[Any, ...]]] = []
-    tick = 0
+    # time -> its events, in the order scheduled: ("update", site, intent),
+    # ("deliver", src, dst) or ("flush", site, peer)
+    agenda: Dict[int, List[Tuple[str, int, Any]]] = {}
 
-    def push(time: int, kind: str, payload: Tuple[Any, ...]) -> None:
-        nonlocal tick
-        heapq.heappush(heap, (time, tick, kind, payload))
-        tick += 1
-
-    horizon = max(1, cfg.ops_per_site * cfg.sites)
+    horizon = max(1, cfg.ops_per_site * n)
     if script is None:
-        for site in range(cfg.sites):
+        for site in range(n):
             for _ in range(cfg.ops_per_site):
-                push(plan_rng.randrange(horizon), "update", (site, None))
+                agenda.setdefault(plan_rng.randrange(horizon), []).append(("update", site, None))
     else:
         for time, site, intent in script:
-            push(time, "update", (site, intent))
+            agenda.setdefault(time, []).append(("update", site, intent))
 
-    pair_clock: Dict[Tuple[int, int], int] = {}
-    # (time, src, dst) -> the messages due then on that link, in send order
-    due: Dict[Tuple[int, int, int], List[Any]] = {}
-    on_link: Dict[Tuple[int, int], int] = {}  # (src, dst) -> messages in flight
-    flushing: Set[Tuple[int, int]] = set()  # (site, peer) with a flush scheduled
+    choice, coin = net_rng.choice, net_rng.random
+    reorder, duplicate = cfg.reorder, cfg.duplicate
+    link_clock = [[0] * n for _ in range(n)]  # [src][dst] -> last delivery time, FIFO
+    # [src][dst] -> time -> the messages due then on that link, in send order
+    due: List[List[Dict[int, List[Any]]]] = [[{} for _ in range(n)] for _ in range(n)]
+    flushing = [[False] * n for _ in range(n)]  # [site][peer]: a flush is scheduled
     inflight = 0
     max_inflight = 0
     messages_sent = 0
     recorded: List[Tuple[int, int, Tuple[Any, ...]]] = []
 
     def enqueue(t: int, src: int, dst: int, msg: Any) -> None:
-        nonlocal inflight, max_inflight
-        key = (t, src, dst)
-        batch = due.get(key)
+        batches = due[src][dst]
+        batch = batches.get(t)
         if batch is None:
-            due[key] = [msg]
-            push(t, "deliver", key)
+            batches[t] = [msg]
+            agenda.setdefault(t, []).append(("deliver", src, dst))
         else:
             batch.append(msg)
-        on_link[src, dst] = on_link.get((src, dst), 0) + 1
-        inflight += 1
+
+    def send(now: int, src: int, out: List[Tuple[int, Any]]) -> None:
+        nonlocal inflight, max_inflight, messages_sent
+        clock = link_clock[src]
+        for dst, msg in out:
+            t = now + choice(DELAYS)
+            if not reorder:
+                if t < clock[dst]:
+                    t = clock[dst]
+                clock[dst] = t
+            enqueue(t, src, dst, msg)
+            inflight += 1
+            if duplicate and coin() < 0.1:
+                enqueue(t + choice(DUPLICATE_DELAYS), src, dst, msg)  # delivered once more, later
+                inflight += 1
+        messages_sent += len(out)
         if inflight > max_inflight:
             max_inflight = inflight
 
-    def send(now: int, src: int, dst: int, msg: Any) -> None:
-        nonlocal messages_sent
-        t = now + net_rng.randint(1, 3)
-        if not cfg.reorder:
-            t = max(t, pair_clock.get((src, dst), 0))
-            pair_clock[(src, dst)] = t
-        enqueue(t, src, dst, msg)
-        messages_sent += 1
-        if cfg.duplicate and net_rng.random() < 0.1:
-            enqueue(t + net_rng.randint(1, 6), src, dst, msg)  # delivered once more, later
-
-    def report(reason: str) -> TrialReport:
-        digests = {i: s.digest() for i, s in sites.items()}
-        if reason == "ok" and len(set(digests.values())) != 1:
-            reason = "divergence"
-        stats = {name: sum(getattr(s.stats, name) for s in sites.values())
-                 for name in vars(SiteStats())}
-        return TrialReport(cfg.seed, reason == "ok", reason, digests,
-                           messages_sent, max_inflight, events, recorded, stats)
-
     events = 0
-    fault: Optional[str] = None
-    while heap:
-        events += 1
-        if events > cfg.max_events:
-            return report("nonterminating")
-        now, _, kind, payload = heapq.heappop(heap)
-        try:
-            if kind == "update":
-                site, intent = payload
-                s = sites[site]
-                n = len(s.history)
-                try:
-                    if intent is None:
+    reason = "ok"
+    now = min(agenda, default=0)
+    try:
+        while agenda and reason == "ok":
+            todo = agenda.pop(now, None)
+            if todo is None:  # a gap between scheduled times
+                now = min(agenda)
+                continue
+            for kind, a, b in todo:
+                events += 1
+                if events > cfg.max_events:
+                    reason = "nonterminating"
+                    break
+                if kind == "deliver":
+                    batches = due[a][b]
+                    batch = batches.pop(now)
+                    inflight -= len(batch)
+                    s = sites[b]
+                    out = s.handle_batch(a, batch)
+                    if not batches:  # nothing else is in flight on the link
+                        out += s.link_drained(a)
+                    send(now, b, out)
+                    if not flushing[b][a] and s.deferred(a):
+                        flushing[b][a] = True
+                        agenda.setdefault(now + ECHO_DELAY, []).append(("flush", b, a))
+                elif kind == "update":
+                    s = sites[a]
+                    seq = s.next_seq
+                    if b is None:
                         intent, out = random_update(s, plan_rng) or (None, [])
                     else:
-                        out = s.local_update(intent)
-                except IntentError:
-                    continue  # scripted intent no longer fits the state
-                if len(s.history) > n:
-                    recorded.append((now, site, intent))
-                for dst, msg in out:
-                    send(now, site, dst, msg)
-            elif kind == "deliver":
-                _, src, dst = payload
-                batch = due.pop(payload)
-                inflight -= len(batch)
-                left = on_link[src, dst] = on_link[src, dst] - len(batch)
-                s = sites[dst]
-                out = s.handle_batch(src, batch)
-                if not left:
-                    out += s.link_drained(src)
-                for nxt, reply in out:
-                    send(now, dst, nxt, reply)
-                if (dst, src) not in flushing and s.deferred(src):
-                    flushing.add((dst, src))
-                    push(now + ECHO_DELAY, "flush", (dst, src))
-            else:
-                flushing.discard(payload)
-                site, peer = payload
-                for _, msg in sites[site].flush(peer):
-                    send(now, site, peer, msg)
-        except CcrError as e:
-            fault = f"fault: {e}"
-            break
+                        intent = b
+                        try:
+                            out = s.local_update(intent)
+                        except IntentError:
+                            continue  # scripted intent no longer fits the state
+                    if s.next_seq > seq:
+                        recorded.append((now, a, intent))
+                    send(now, a, out)
+                else:
+                    flushing[a][b] = False
+                    send(now, a, sites[a].flush(b))
+            now += 1
+    except CcrError as e:
+        reason = f"fault: {e}"
 
-    if fault is not None:
-        return report(fault)
-    if not quiescent(sites, 0):
-        return report("drained without quiescence")
-    return report("ok")
+    if reason == "ok" and not quiescent(sites, 0):
+        reason = "drained without quiescence"
+    digests = {i: s.digest() for i, s in sites.items()}
+    if reason == "ok" and len(set(digests.values())) != 1:
+        reason = "divergence"
+    stats = {name: sum(getattr(s.stats, name) for s in sites.values())
+             for name in vars(SiteStats())}
+    return TrialReport(cfg.seed, reason == "ok", reason, digests,
+                       messages_sent, max_inflight, events, recorded, stats)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module under
-``src/ccr`` imports is used in it, no replica kind re-enters the sweep, and
-the agent waits on a link's writes only in that link's read loop."""
+``src/ccr`` imports is used in it, no module draws from ``random``'s shared
+generator, no replica kind re-enters the sweep, and the agent waits on a
+link's writes only in that link's read loop."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,44 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os.path\nfrom typing import List, Tuple\nx: List[int] = []\n")
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["os", "Tuple"]
+
+
+def shared_random_draws(tree):
+    """Each draw ``tree`` makes from ``random``'s module-level generator,
+    with its line: a call of ``random.<draw>`` or of a draw imported from
+    ``random``.  Only building a ``Random`` is allowed, so that every draw
+    comes from a seeded stream."""
+    modules, draws = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "random"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            draws |= {a.asname or a.name for a in node.names if a.name != "Random"}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in modules and f.attr != "Random":
+            yield f"random.{f.attr}", node.lineno
+        elif isinstance(f, ast.Name) and f.id in draws:
+            yield f.id, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_shared_random_draws(path):
+    """Every trial and property check replays from its seed only if each
+    draw comes from a seeded ``random.Random`` (the simulator's ``:plan``
+    and ``:net`` streams, or an rng passed in)."""
+    assert list(shared_random_draws(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_a_shared_random_draw_is_caught():
+    tree = ast.parse("import random\nimport random as r\nfrom random import choice, Random\n"
+                     "rng = random.Random(1)\nrng.random()\nrandom.random()\n"
+                     "r.randint(1, 3)\nchoice('ab')\nRandom(2).choice('ab')\n")
+    assert list(shared_random_draws(tree)) == [
+        ("random.random", 6), ("random.randint", 7), ("choice", 8)]
 
 
 def sweep_imports(tree):
