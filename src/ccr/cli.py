@@ -3,7 +3,8 @@
 Each entry point imports the modules it runs inside its own function, so a
 process pays the start-up of only what it uses: ``ccr-agent`` never loads
 the simulator or the property checker, and ``ccr-sim`` and ``ccr-props``
-never load ``asyncio``.
+never load ``asyncio``.  The same holds for kinds: a process loads a kind's
+module only when its ``--replica`` string names it (see ``ccr.replicas``).
 """
 
 from __future__ import annotations

@@ -5,28 +5,33 @@ Kinds are named structurally: the six scalars by bare name, composites as
 accepted as shorthand and normalize to their structural forms, so two agents
 configured either way agree on the canonical kind string.  The post shape
 resolves to ``SocialPostType``, which only adds the post vocabulary.
+
+A process loads a kind's module only when a kind string names it: a scalar
+the first time its name is parsed, ``composite`` the first time a string
+holds a tuple, a map or an alias.  A text site loads no other kind.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+from typing import Dict
+
 from ..core import IntentError
-from .addmult import AddMultType
 from .base import ReplicaType
-from .composite import POST_SHAPE, MapType, SocialPostType, TupleType
-from .counter import CounterType
-from .eset import ESetType
-from .lww import LwwType
-from .queue import QueueType
-from .text import TextType
 
-COUNTER = CounterType()
-ADDMULT = AddMultType()
-LWW = LwwType()
-ESET = ESetType()
-QUEUE = QueueType()
-TEXT = TextType()
+POST_SHAPE = "tuple<lww,eset,counter,counter>"
 
-_SCALARS = {t.name: t for t in (COUNTER, ADDMULT, LWW, ESET, QUEUE, TEXT)}
+# Each scalar kind's name -> its class, in the module of the same name.
+_SCALAR_CLASSES = {
+    "counter": "CounterType",
+    "addmult": "AddMultType",
+    "lww": "LwwType",
+    "eset": "ESetType",
+    "queue": "QueueType",
+    "text": "TextType",
+}
+# The scalar instances made so far, one per kind: each stays a singleton.
+_SCALARS: Dict[str, ReplicaType] = {}
 
 _ALIASES = {
     "socialpost": POST_SHAPE,
@@ -48,6 +53,7 @@ def replica_type(kind: str) -> ReplicaType:
 def _parse(s: str):
     s = s.lstrip()
     if s.startswith("tuple<"):
+        from .composite import SocialPostType, TupleType
         rest = s[len("tuple<"):]
         comps = []
         while True:
@@ -65,12 +71,16 @@ def _parse(s: str):
             comp, rest = _parse(rest)
             comps.append(comp)
     if s.startswith("map<"):
+        from .composite import MapType
         comp, rest = _parse(s[len("map<"):])
         if not rest.startswith(">"):
             raise IntentError(f"bad kind syntax near {rest!r}")
         return MapType(comp), rest[1:]
-    for name in sorted(_SCALARS, key=len, reverse=True):
+    for name in sorted(_SCALAR_CLASSES, key=len, reverse=True):
         if s.startswith(name):
+            if name not in _SCALARS:
+                module = import_module(f".{name}", __name__)
+                _SCALARS[name] = getattr(module, _SCALAR_CLASSES[name])()
             return _SCALARS[name], s[len(name):]
     for alias, expansion in _ALIASES.items():
         if s.startswith(alias):

@@ -9,7 +9,6 @@ bodies.  Instances are stateless singletons.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -85,6 +84,7 @@ class ReplicaType:
         raise NotImplementedError
 
     def digest(self, state: Any) -> str:
+        import json  # loaded at a process's first digest, not at its start
         return json.dumps(self.digest_value(state), sort_keys=True, separators=(",", ":"))
 
     def encode_body(self, body: Tuple[Any, ...]) -> dict:

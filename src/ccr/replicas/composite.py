@@ -25,7 +25,6 @@ from typing import Tuple
 from ..core import ApplyError, IntentError, Operation, WireError, is_int
 from .base import ReplicaType, arity, int_arg
 
-POST_SHAPE = "tuple<lww,eset,counter,counter>"
 # In slot order: post action -> the intent it names on its slot.
 _POST_ACTIONS = (("write", "write"), ("comment", "add"), ("like", "incr"), ("dislike", "incr"))
 _COMMENTS = tuple(f"c{i}" for i in range(12))

@@ -36,6 +36,34 @@ def test_checker_loads_no_simulator():
     assert loaded("import ccr.props", ("ccr.sim",)) == []
 
 
+KIND_MODULES = tuple(f"ccr.replicas.{k}" for k in
+                     ("counter", "addmult", "lww", "eset", "queue", "text", "composite"))
+
+
+def loaded_beyond_bare(code, modules):
+    """``loaded``, less what a bare interpreter has already loaded (a site
+    hook may preload ``json``, say)."""
+    bare = set(loaded("pass", modules))
+    return [m for m in loaded(code, modules) if m not in bare]
+
+
+def test_text_site_loads_no_other_kind_and_no_json():
+    code = ("from ccr.protocol import SiteState\nfrom ccr.replicas import replica_type\n"
+            "SiteState(0, replica_type('text'))")
+    assert loaded_beyond_bare(code, KIND_MODULES + ("json",)) == ["ccr.replicas.text"]
+
+
+def test_counter_agent_loads_neither_text_nor_composite():
+    code = "import ccr.cli, ccr.agent\nfrom ccr.replicas import replica_type\nreplica_type('counter')"
+    assert loaded_beyond_bare(code, KIND_MODULES) == ["ccr.replicas.counter"]
+
+
+def test_social_media_loads_only_its_components():
+    code = "from ccr.replicas import replica_type\nreplica_type('socialmedia')"
+    assert loaded_beyond_bare(code, KIND_MODULES) == [
+        "ccr.replicas.counter", "ccr.replicas.lww", "ccr.replicas.eset", "ccr.replicas.composite"]
+
+
 def test_sim_report_stats_keep_their_order(capsys):
     assert sim_main(["--replica", "counter", "--trials", "2", "--reorder"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module under
 ``src/ccr`` imports is used in it, no module draws from ``random``'s shared
-generator, no replica kind re-enters the sweep, and the agent waits on a
-link's writes only in that link's read loop."""
+generator, no replica kind re-enters the sweep, the kind registry loads
+kinds and ``json`` only on first use, and the agent waits on a link's writes
+only in that link's read loop."""
 
 import ast
 from pathlib import Path
@@ -112,6 +113,40 @@ def test_a_sweep_import_is_caught():
     tree = ast.parse("from ..core import ApplyError, transform_patch\n"
                      "from ccr.core import _sweep\nfrom .base import transform_patch\n")
     assert sweep_imports(tree) == ["transform_patch", "_sweep"]
+
+
+def top_level_imports(tree):
+    """Each module name, and each name imported from a module, that the top
+    level of ``tree`` imports: ``from .text import TextType`` gives ``text``
+    and ``TextType``, ``import json.decoder`` gives ``json`` and ``decoder``."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from alias.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            yield from (node.module or "").split(".")
+            yield from (alias.name for alias in node.names)
+
+
+KIND_MODULES = {p.stem for p in (SRC / "replicas").glob("*.py")} - {"__init__", "base"}
+
+
+def test_kinds_and_json_load_on_first_use():
+    """A process loads a kind's module only once a kind string names it, and
+    ``json`` only at its first digest: the registry imports no kind, and the
+    kind interface no ``json``, at module level."""
+    assert {"text", "composite"} <= KIND_MODULES
+    registry = ast.parse((SRC / "replicas" / "__init__.py").read_text())
+    assert KIND_MODULES.isdisjoint(top_level_imports(registry))
+    assert "json" not in set(top_level_imports(ast.parse((SRC / "replicas" / "base.py").read_text())))
+
+
+def test_a_top_level_kind_or_json_import_is_caught():
+    tree = ast.parse("from .counter import CounterType\nfrom . import composite\n"
+                     "import json.decoder\ndef f():\n    from .text import TextType\n")
+    names = set(top_level_imports(tree))
+    assert KIND_MODULES & names == {"counter", "composite"}
+    assert "json" in names and "text" not in names
 
 
 def test_agent_waits_on_a_link_only_in_its_read_loop():

@@ -318,3 +318,24 @@ class TestComposites:
     def test_kind_names(self):
         assert self.post.name == "tuple<lww,eset,counter,counter>"
         assert self.media.name == "map<tuple<lww,eset,counter,counter>>"
+
+
+@pytest.mark.parametrize("kind", ["counter", "addmult", "lww", "eset", "queue", "text"])
+def test_a_scalar_kind_is_one_instance(kind):
+    assert replica_type(kind) is replica_type(f" {kind} ")
+    assert replica_type(f"tuple<{kind}>").components[0] is replica_type(kind)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("nosuch", "unknown replica kind near 'nosuch'"),
+    ("counterx", "trailing input in kind: 'x'"),
+    ("map<text>>", "trailing input in kind: '>'"),
+    ("tuple<>", "empty tuple kind"),
+    ("tuple<lww;eset>", "bad kind syntax near ';eset>'"),
+    ("map<counter", "bad kind syntax near ''"),
+    ("map<socialpostx>", "bad kind syntax near 'x>'"),
+])
+def test_a_bad_kind_string_is_refused(kind, message):
+    with pytest.raises(IntentError) as e:
+        replica_type(kind)
+    assert str(e.value) == message
