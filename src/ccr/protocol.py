@@ -37,12 +37,14 @@ that continue each other integrate as one, reaching the same state as the
 pieces one by one.  ``handle_batch`` is the one receive path for a batch of
 a peer's messages (the agent's read, the simulator's delivery on one link at
 one tick): it merges each such run and integrates it with one
-``handle_message``.  Each entry point (``local_update``, ``handle_message``,
-``handle_batch``) builds its increments once, at its end, and only if the
-history grew; since ``make_increment`` sends the whole unsent suffix, a call
-sends each peer one increment at most.  A ``ProtocolError`` ends a call
-before its increments are built: what the earlier messages committed stays,
-unsent, and ``flush`` sends each peer its share.
+``handle_message`` told not to broadcast.  Each entry point (``local_update``,
+``handle_message``, ``handle_batch``) builds its increments once, at its end,
+and only if the history grew; since ``make_increment`` sends the whole
+unsent suffix, a call sends each peer one increment at most.  A
+``ProtocolError`` ends a call before its increments are built: what the
+earlier messages committed stays, unsent, and ``flush`` sends each peer its
+share.  A piece commits only once it has transformed and applied, so a
+``SiteFaulted`` leaves the history, ``current`` and cursors as they were.
 
 The rebroadcast to the sender, the echo, brings it nothing new: it holds
 those ops already, and they cancel by uid on arrival.  It is sent only
@@ -96,7 +98,6 @@ from .core import (
     Operation,
     Patch,
     apply_patch,
-    is_identity,
     transform_patch,
 )
 from .replicas.base import ReplicaType
@@ -114,8 +115,8 @@ class ProtocolError(CcrError):
 
 
 class SiteFaulted(CcrError):
-    """This site's replica state is no longer trustworthy (transform or
-    apply failed mid-integration).  Not recoverable in-process."""
+    """A peer's piece failed to transform or apply, or reused a uid.  It
+    commits nothing, but the site stays faulted for good."""
 
 
 class Hello(NamedTuple):
@@ -260,7 +261,6 @@ class SiteState:
         self.peers: Dict[int, PeerCursor] = {}
         self.faulted: Optional[str] = None
         self.stats = SiteStats()
-        self._deferring: Optional[int] = None  # sender of the batch in hand
 
     @property
     def history(self) -> HistoryView:
@@ -317,12 +317,8 @@ class SiteState:
         sends nothing: ``flush`` gives each peer its increment."""
         n = len(self._log)
         out: List[Tuple[int, Message]] = []
-        self._deferring = from_site
-        try:
-            for msg in _runs(msgs):
-                out += self.handle_message(from_site, msg)
-        finally:
-            self._deferring = None
+        for msg in _runs(msgs):
+            out += self.handle_message(from_site, msg, False)
         return out + self._broadcast(n, from_site)
 
     def deferred(self, peer: int) -> bool:
@@ -335,9 +331,11 @@ class SiteState:
         m = self.make_increment(peer)
         return [] if m is None else [(peer, m)]
 
-    def handle_message(self, from_site: int, msg: Message) -> List[Tuple[int, Message]]:
-        """Handle one message from a peer; returns the replies, one increment
-        per peer at most.  Inside ``handle_batch`` the batch sends those."""
+    def handle_message(self, from_site: int, msg: Message,
+                       broadcast: bool = True) -> List[Tuple[int, Message]]:
+        """Handle one message from a peer; returns the replies and, if
+        ``broadcast``, one increment per peer at most.  A ``SiteFaulted``
+        leaves the history, ``current`` and every cursor as they were."""
         self._check_ok()
         if isinstance(msg, Hello):
             return self._handle_hello(from_site, msg)
@@ -362,7 +360,7 @@ class SiteState:
         else:
             raise ProtocolError(f"unknown message {msg!r}")
         out = self._piece(from_site, start, msg.ops)
-        if self._deferring is None and len(self._log) > n:
+        if broadcast:
             out += self._broadcast(n, None)
         return out
 
@@ -430,8 +428,8 @@ class SiteState:
     # -- integration core ----------------------------------------------------
 
     def _integrate(self, from_site: int, ops: Patch) -> None:
-        """Integrate the ops of the peer's stream that follow the cursor and
-        commit whatever they hold that is new."""
+        """Integrate the ops of the peer's stream that follow the cursor;
+        commit what they hold that is new once all of it has applied."""
         if not ops:
             self.stats.stale_dropped += 1
             return
@@ -440,19 +438,18 @@ class SiteState:
             # The ops apply in the peer's frame, which is never built: the
             # sweep needs no state.
             fresh, rem = transform_patch(self.rt, None, ops, cur.remainder)
-            cur.recv_len += len(ops)
-            cur.remainder = list(rem)
-            if not is_identity(fresh):
-                self.current = apply_patch(self.rt, self.current, fresh)
-                self._append(fresh)
-                for peer, other in self.peers.items():
-                    if peer != from_site:
-                        other.remainder.extend(fresh)
-        except SiteFaulted:
-            raise
+            current = apply_patch(self.rt, self.current, fresh) if fresh else self.current
         except CcrError as e:
             self.faulted = str(e)
             raise SiteFaulted(f"site {self.site} faulted during integration: {e}") from e
+        if fresh:
+            self._append(fresh)
+            self.current = current
+            for peer, other in self.peers.items():
+                if peer != from_site:
+                    other.remainder.extend(fresh)
+        cur.recv_len += len(ops)
+        cur.remainder = list(rem)
 
     def _append(self, ops: Patch) -> None:
         """Extend the history by ops, refusing any uid it already holds, as

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every name a module under
-``src/ccr`` imports is used in it, no module draws from ``random``'s shared
-generator, no replica kind re-enters the sweep, the kind registry loads
-kinds and ``json`` only on first use, and the agent waits on a link's writes
-only in that link's read loop."""
+``src/ccr`` imports is used in it, every parameter a function takes is read
+in it, no module draws from ``random``'s shared generator, no replica kind
+re-enters the sweep, the kind registry loads kinds and ``json`` only on
+first use, and the agent waits on a link's writes only in that link's read
+loop."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,65 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os.path\nfrom typing import List, Tuple\nx: List[int] = []\n")
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["os", "Tuple"]
+
+
+def unread_params(tree, skip=frozenset()):
+    """Each parameter of a function in ``tree`` that its body never reads,
+    as ``(qualified name, parameter)``; ``self`` and ``cls`` are not
+    counted, nor are methods named in ``skip``, whatever their class."""
+    def walk(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if not (in_class and child.name in skip):
+                    a = child.args
+                    read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                            if isinstance(n, ast.Name)}
+                    for arg in a.posonlyargs + a.args + a.kwonlyargs + [
+                            x for x in (a.vararg, a.kwarg) if x is not None]:
+                        if arg.arg not in read | {"self", "cls"}:
+                            yield name, arg.arg
+                yield from walk(child, f"{name}.", False)
+            else:
+                yield from walk(child, prefix, in_class)
+
+    return walk(tree, "", False)
+
+
+# A method of the kind interface takes what every kind is handed, whether
+# or not one kind reads it.
+REPLICA_METHODS = frozenset(
+    f.name for cls in ast.parse((SRC / "replicas" / "base.py").read_text()).body
+    if isinstance(cls, ast.ClassDef) and cls.name == "ReplicaType"
+    for f in cls.body if isinstance(f, ast.FunctionDef))
+
+UNREAD_ALLOWED = {
+    # Criterion 5 calls transform_patch(rt, d, p, q) positionally, and the
+    # benchmark's tracer reads the patches as the third and fourth arguments.
+    ("core.py", "transform_patch", "state"),
+    # A map routes every key to one component; a tuple reads its slot.
+    ("replicas/composite.py", "MapType.component_at", "key"),
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_unread_params(path):
+    """No argument that nothing reads."""
+    rel = path.relative_to(SRC).as_posix()
+    unread = unread_params(ast.parse(path.read_text(), str(path)), REPLICA_METHODS)
+    assert [u for u in unread if (rel, *u) not in UNREAD_ALLOWED] == []
+
+
+def test_an_unread_param_is_caught():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+                     "class K:\n    def m(self, x, y):\n        def g(z):\n"
+                     "            return x\n        return g\n"
+                     "    def apply(self, state, op):\n        pass\n")
+    assert list(unread_params(tree, {"apply"})) == [
+        ("f", "b"), ("f", "c"), ("f", "e"), ("K.m", "y"), ("K.m.g", "z")]
+    assert {"apply", "transform_prim", "draw_intent"} <= REPLICA_METHODS
 
 
 def shared_random_draws(tree):

@@ -539,6 +539,35 @@ class TestCommitCheck:
         with pytest.raises(SiteFaulted, match="previously faulted"):
             a.local_update(("ins", 0, "z"))
 
+    @pytest.mark.parametrize("kind, intent, body", [
+        ("text", ("ins", 0, "ab"), ("Ins", 2, "d")),
+        ("queue", ("enq", "a"), ("EnqAt", 2, "z")),
+        ("eset", ("add", "x"), ("Rem", "x")),  # fails in the sweep
+        ("map<text>", ("upd", "k", ("ins", 0, "ab")), ("Upd", "k", ("Ins", 5, "q"))),
+        ("counter", ("incr", 1), None),  # a new op under a uid the history holds
+    ], ids=["text", "queue", "eset", "map-text", "reused-uid"])
+    def test_a_failing_piece_commits_nothing(self, kind, intent, body):
+        rt = replica_type(kind)
+        a = SiteState(0, rt)
+        a.connect_peer(1)
+        [(_, inc)] = a.local_update(intent)
+        if body is None:
+            a.handle_message(1, Increment(kind, 1, 0, inc.ops))  # the echo
+            piece = Increment(kind, 1, 1, (rt.op(OpId(0, 1), "Incr", 7),))
+        else:  # impossible in the peer's frame, which is empty
+            piece = Increment(kind, 1, 0, (rt.op(OpId(1, 1), *body),))
+
+        def snapshot():
+            return (tuple(a.history), a.current,
+                    {p: (c.recv_len, tuple(c.remainder), c.sent_len)
+                     for p, c in a.peers.items()})
+
+        before = snapshot()
+        with pytest.raises(SiteFaulted):
+            a.handle_message(1, piece)
+        assert snapshot() == before
+        a.check_invariants()
+
 
 class TestChain:
     def test_three_site_relay(self):

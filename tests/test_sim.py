@@ -4,7 +4,7 @@ import pytest
 
 from ccr.core import TransformResult
 from ccr.props import check_properties
-from ccr.protocol import Increment, SiteState
+from ccr.protocol import Increment, SiteState, _runs
 from ccr.replicas import replica_type
 from ccr.replicas.base import ReplicaType
 from ccr.sim import (
@@ -275,6 +275,24 @@ def test_no_call_sends_one_peer_two_increments(monkeypatch):
                                     topology="ring", reorder=True, duplicate=True))
             assert r.converged, f"{kind} seed {seed}: {r.reason}"
     assert sent[0] > 0
+
+
+def test_each_delivered_run_goes_through_handle_message(monkeypatch):
+    # perfbench's tracer times the receive step by wrapping
+    # SiteState.handle_message by name: if a delivered run of a batch
+    # bypassed it, the per-layer protocol metrics would read 0.
+    runs = [0]
+
+    def counting(self, from_site, msgs, _real=SiteState.handle_batch):
+        runs[0] += len(_runs(msgs))
+        return _real(self, from_site, msgs)
+
+    monkeypatch.setattr(SiteState, "handle_batch", counting)
+    calls = count_calls(monkeypatch, SiteState, "handle_message")
+    r = run_trial(SimConfig(kind="text", sites=4, ops_per_site=20, seed=0,
+                            topology="ring", reorder=True, duplicate=True))
+    assert r.converged, r.reason
+    assert runs[0] > 0 and calls[0] >= runs[0]
 
 
 def test_nonterminating_budget():
