@@ -16,13 +16,13 @@ returns ``(p', q')`` such that
     apply(apply(D, p), q') == apply(apply(D, q), p')
 
 (local confluence).  The sweep walks p one operation at a time, rewriting it
-across each operation of q, then carries on with the rest of p against the
-once-rewritten q.  It rewrites operations only and applies none: no primitive
-transform reads a state.  Primitive transforms return
-*patches*, not single operations, because a deletion overlapping a concurrent
-insertion splits into two fragments and some pairs cancel outright.  Split
-fragments keep their parent's uid: uniqueness of uids is per logical edit,
-not per array slot.
+across the operations of q until it vanishes, then carries on with the rest
+of p against the once-rewritten q, so an operation costs the ones it met.  It
+rewrites operations only and applies none: no primitive transform reads a
+state.  Primitive transforms return *patches*, not single operations, because
+a deletion overlapping a concurrent insertion splits into two fragments and
+some pairs cancel outright.  Split fragments keep their parent's uid:
+uniqueness of uids is per logical edit, not per array slot.
 
 When the sweep brings two operations with equal uid face to face, both are
 dropped.  This is what makes redelivery and echo loops terminate: a patch
@@ -206,19 +206,18 @@ def confluent_rep(rt, state: Any, p: Patch, q: Patch) -> Patch:
 
 
 def _sweep(rt, p: Sequence[Operation], q: Sequence[Operation]) -> Tuple[Sequence, Sequence]:
-    # Sweep each op of p across the whole of q, carrying q past it.  An op
-    # that splits sweeps its fragments across each later op of q.
+    # q is one stack with its head last; each op of p pops only what it meets.
     if not p or not q:
         return p, q
     p_out: List[Operation] = []
+    rest = list(q)
+    rest.reverse()
+    pop = rest.pop
     for a in p:
         a_cur: Sequence[Operation] = (a,)
-        q_out: List[Operation] = []
-        for i, b in enumerate(q):
-            if not a_cur:
-                # a vanished; the rest of q is untouched by it.
-                q_out += q[i:]
-                break
+        met: List[Operation] = []
+        while a_cur and rest:
+            b = pop()
             if len(a_cur) > 1:
                 # a split into fragments: sweep b across them.
                 a_cur, b_out = _sweep(rt, a_cur, (b,))
@@ -227,7 +226,9 @@ def _sweep(rt, p: Sequence[Operation], q: Sequence[Operation]) -> Tuple[Sequence
                 a_cur = b_out = EMPTY
             else:
                 a_cur, b_out = rt.transform_prim(a_cur[0], b)
-            q_out += b_out
+            met += b_out
         p_out += a_cur
-        q = q_out
-    return p_out, q
+        met.reverse()  # what a met goes back on top, rewritten, in q's order
+        rest += met
+    rest.reverse()
+    return p_out, rest

@@ -71,15 +71,14 @@ applied to ``current`` at commit, and an op that does not apply faults the
 site there.  The tests' ``VerifiedSite`` re-runs the full computation at
 every receipt and asserts that both routes agree.
 
-The bookkeeping of one op costs the same at any history length.  Appending
-must refuse an op whose uid the history already holds (the overlap check of
-``core.compose``); a set of every integrated uid turns that check into one
-lookup per new op.  The history is a list that only grows, and the one
-per-peer list, the remainder, grows in place too.  Of the peer's stream a
-cursor keeps only its length.  ``history`` is read as a ``HistoryView``: a
-snapshot of the log fixed at its length when taken, which costs O(1)
-because no entry of the log ever changes or goes away.  ``Full`` carries
-such a view, and a message in flight may hold one while this site moves on.
+The bookkeeping of one op costs the same at any history length, and a piece's
+sweep costs the ops its ops meet, so a catch-up echo or a third-peer stream
+costs its length.  ``_append`` checks uids in a set.  The history and the one
+per-peer list, the remainder, grow in place.  Of the peer's stream a cursor
+keeps only its length.  ``history`` is read as a ``HistoryView``: a snapshot
+of the log fixed at its length when taken, which costs O(1) because no entry
+of the log ever changes or goes away.  ``Full`` carries such a view, and a
+message in flight may hold one while this site moves on.
 
 SiteState is a single-threaded state machine: callers must serialize entry
 points (the agent funnels everything through one event loop, the simulator

@@ -1,15 +1,18 @@
-"""Shared test fixtures: how to start an agent, a reference sweep, a site
-that checks every receipt against the direct transform, and text kinds with
-known transform defects for checking that the harnesses catch them."""
+"""Shared test fixtures: how to start an agent, a reference sweep, FIFO
+delivery and the catch-up probes built on it, a site that checks every
+receipt against the direct transform, and text kinds with known transform
+defects for checking that the harnesses catch them."""
 
 import os
 import shutil
 import sys
+from collections import deque
 
 import ccr
 import ccr.sim
 from ccr.core import EMPTY, ApplyError, TransformResult, transform_patch
-from ccr.protocol import SiteState
+from ccr.protocol import Hello, SiteState
+from ccr.replicas import replica_type
 from ccr.replicas.base import ReplicaType
 from ccr.replicas.text import TextType
 
@@ -89,6 +92,72 @@ def _ref_one_vs_patch(rt, a, q):
             a_cur, b_out = _ref_sweep(rt, a_cur, (b,))
             q_out.extend(b_out)
     return a_cur, tuple(q_out)
+
+
+def drain(sites, pending, budget=50_000):
+    """Deliver until silence.  pending is a deque of (src, dst, msg)."""
+    delivered = 0
+    while pending:
+        delivered += 1
+        if delivered > budget:
+            raise AssertionError("message storm: protocol did not settle")
+        src, dst, msg = pending.popleft()
+        for nxt, reply in sites[dst].handle_message(src, msg):
+            pending.append((dst, nxt, reply))
+    return delivered
+
+
+def outbox(site_id, msgs):
+    return deque((site_id, dst, m) for dst, m in msgs)
+
+
+def _hellos(sites, i, j):
+    # Site i dials site j as a fresh incarnation: Hellos both ways.
+    kind = sites[i].rt.name
+    sites[j].handle_message(i, Hello(i, kind, 0))
+    sites[i].handle_message(j, Hello(j, kind, 0))
+
+
+def _join(sites, i, j):
+    # The fresh site i dials site j and asks for its history: what ``drain``
+    # then delivers is the catch-up.
+    _hellos(sites, i, j)
+    return outbox(i, sites[i].request_resync(j) + sites[i].flush(j))
+
+
+def catch_up(n):
+    """The catch-up probe: a survivor (site 0) holding n counter ``incr 1``
+    ops, which a fresh site 1 has just dialed.  Returns the sites and the
+    joiner's opening messages; draining them is the catch-up, and nearly
+    all of it is the survivor integrating the joiner's echo of its n-op
+    Full, n uid twins against a remainder of n."""
+    rt = replica_type("counter")
+    sites = {0: SiteState(0, rt), 1: SiteState(1, rt)}
+    for _ in range(n):
+        sites[0].local_update(("incr", 1))
+    return sites, _join(sites, 1, 0)
+
+
+def third_peer_link(n, joiner_edits=False):
+    """The third-peer link probe.  Sites A (0) and C (2) each make n counter
+    ops in turns, each pair delivered before the next, so their histories
+    hold the same ops with each pair in opposite orders.  A fresh B (1),
+    after one op of its own if ``joiner_edits``, catches up from A and then
+    exchanges Hellos with C.  Returns the sites and B's flush to C; draining
+    it is C integrating B's stream of 2n ops (2n + 1 if B edited)."""
+    rt = replica_type("counter")
+    sites = {i: SiteState(i, rt) for i in range(3)}
+    sites[0].connect_peer(2)
+    sites[2].connect_peer(0)
+    for _ in range(n):
+        pending = outbox(0, sites[0].local_update(("incr", 1)))
+        pending += outbox(2, sites[2].local_update(("incr", 1)))
+        drain(sites, pending)
+    if joiner_edits:
+        sites[1].local_update(("incr", 1))
+    drain(sites, _join(sites, 1, 0))
+    _hellos(sites, 1, 2)
+    return sites, outbox(1, sites[1].flush(2))
 
 
 class VerifiedSite(SiteState):

@@ -441,6 +441,32 @@ class TestInProcess:
 
         asyncio.run(flow())
 
+    def test_long_catch_up_keeps_the_survivor_serving(self):
+        # The survivor integrates the joiner's echo of its 40,000-op Full
+        # in time linear in it, so the whole catch-up ends within 5 s.  The
+        # agents share one event loop: while the survivor integrates, the
+        # joiner's barrier cannot run either.
+        async def flow():
+            loop = asyncio.get_running_loop()
+            pa = free_port()
+            a = Agent(AgentConfig(site=0, kind="counter", listen=addr(pa)))
+            for _ in range(40_000):
+                a.state.local_update(("incr", 1))
+            assert await a.start() is None
+            start = loop.time()
+            b = Agent(AgentConfig(site=1, kind="counter", listen=addr(free_port()),
+                                  connect=(addr(pa),)))
+            assert await b.start() is None
+            try:
+                assert await b._sync(5) and await a._sync(5)
+                assert loop.time() - start < 5
+                assert a.state.digest() == b.state.digest() == "40000"
+            finally:
+                await a._shutdown()
+                await b._shutdown()
+
+        asyncio.run(flow())
+
     def test_overlong_frame_drops_only_that_link(self, monkeypatch, caplog):
         monkeypatch.setattr(agent_mod, "FRAME_LIMIT", 4096)
 

@@ -15,8 +15,10 @@ from ccr import (
     transform_patch,
 )
 from ccr.props import random_ops
+from ccr.protocol import SiteState
 from ccr.replicas import replica_type
 from ccr.replicas.text import TextType
+from ccr.sim import random_update
 from support import count_applies, reference_transform
 
 C = replica_type("counter")
@@ -197,6 +199,56 @@ class TestSweepOracle:
         assert twins > 50
         if "text" in kind:
             assert splits[0] > 5
+
+    @pytest.mark.parametrize("kind", ["counter", "text", "queue", "map<text>"])
+    def test_long_q_with_twins_at_and_away_from_its_head(self, kind, monkeypatch):
+        # Sites 0 and 1 make p and q; site 2's ops reach both, so they are
+        # q's first op, ops in its middle and its last op, and sit among
+        # p's own ops.  Nothing is delivered to site 2, so no op of p
+        # reaches q's site or the other way round.
+        rt = replica_type(kind)
+        rng = random.Random(f"sweep-oracle-long-{kind}")
+        sites = {i: SiteState(i, rt) for i in range(3)}
+        for i in (0, 1):
+            sites[i].connect_peer(2)
+            sites[2].connect_peer(i)
+
+        def make(i, n):
+            for _ in range(n):
+                made = random_update(sites[i], rng)
+                pending = list(made[1]) if made else []
+                while pending:
+                    dst, msg = pending.pop(0)
+                    if dst != 2:
+                        pending += sites[dst].handle_message(i, msg)
+
+        make(2, 1)
+        for _ in range(4):
+            make(0, 3)
+            make(1, 100)
+            make(2, 2)
+        make(0, 3)
+        p, q = tuple(sites[0].history), tuple(sites[1].history)
+        twins = {op.uid for op in p} & {op.uid for op in q}
+        assert len(q) >= 300 and len(p) >= 20
+        assert q[0].uid in twins and q[-1].uid in twins
+        assert sum(op.uid in twins for op in q[1:-1]) >= 4
+        splits = [0]
+        real = TextType.transform_prim
+
+        def counting(self, a, b):
+            out = real(self, a, b)
+            splits[0] += any(len(side) > 1 for side in out)
+            return out
+
+        monkeypatch.setattr(TextType, "transform_prim", counting)
+        for left, right in ((p, q), (q, p)):
+            got = transform_patch(rt, None, left, right)
+            want = reference_transform(rt, left, right)
+            assert type(got.left) is type(got.right) is tuple
+            assert got.left == want.left and got.right == want.right
+        if "text" in kind:
+            assert splits[0] > 0
 
     def test_one_map_entry_matches_the_reference(self):
         # Random map patches spread over three keys and seldom give an

@@ -1,5 +1,6 @@
 import random
 import statistics
+import time
 import tracemalloc
 from collections import deque
 
@@ -25,7 +26,7 @@ from ccr.protocol import (
 )
 from ccr.replicas.text import TextState
 from ccr.sim import random_update
-from support import VerifiedSite, count_applies
+from support import VerifiedSite, catch_up, count_applies, drain, outbox, third_peer_link
 
 
 def mesh(kind, n, verify=False):
@@ -37,23 +38,6 @@ def mesh(kind, n, verify=False):
             if i != j:
                 sites[i].connect_peer(j)
     return sites
-
-
-def drain(sites, pending, budget=50_000):
-    """Deliver until silence.  pending is a deque of (src, dst, msg)."""
-    delivered = 0
-    while pending:
-        delivered += 1
-        if delivered > budget:
-            raise AssertionError("message storm: protocol did not settle")
-        src, dst, msg = pending.popleft()
-        for nxt, reply in sites[dst].handle_message(src, msg):
-            pending.append((dst, nxt, reply))
-    return delivered
-
-
-def outbox(site_id, msgs):
-    return deque((site_id, dst, m) for dst, m in msgs)
 
 
 class TestTwoSites:
@@ -1079,6 +1063,24 @@ def test_restarted_site_converges_on_reordering_links(kind):
         for s in sites.values():
             s.check_invariants()
     assert outlived > 0
+
+
+@pytest.mark.parametrize("probe", [lambda: catch_up(40_000),
+                                   lambda: third_peer_link(10_000, joiner_edits=True)],
+                         ids=["catch-up-40k", "third-peer-link-joiner-edited-10k"])
+def test_a_catch_up_costs_what_it_brings(probe):
+    """A stream whose ops are uid twins of the receiver's remainder, each
+    near its head, integrates in time linear in its length: a 40,000-op
+    echo of a catch-up, and a fresh peer's 20,001-op stream to a third site
+    that holds the same ops in another order."""
+    sites, pending = probe()
+    start = time.perf_counter()
+    drain(sites, pending)
+    took = time.perf_counter() - start
+    assert took < 1.0, f"integrating took {took:.2f} s"
+    assert len({s.digest() for s in sites.values()}) == 1
+    for s in sites.values():
+        s.check_invariants()
 
 
 def test_work_per_op_does_not_grow_with_history(monkeypatch):
